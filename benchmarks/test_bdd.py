@@ -2,36 +2,31 @@
 
 Records to ``BENCH_bdd.json`` at the repository root, for the five
 largest library systems (by total BDD bits): full fixpoint exploration
-under three configurations of :class:`SharedBddContext` --
+under two configurations of :class:`SharedBddContext` --
 
 * ``monolithic``   -- one compiled ``R``, single relational product;
 * ``partitioned``  -- conjunctive partition with the IWLS95-style
-  early-quantification schedule (the default configuration);
-* ``partitioned_sifting`` -- partitioned plus Rudell sifting armed at a
-  low node threshold, exercising the reorder-under-load path.
+  early-quantification schedule (the default configuration).
 
 Per configuration the record keeps wall-clock exploration time, peak
-node allocation, live node count after the last reorder, image-step
-counts and the partition shape.  Always asserted: all three
-configurations agree on diameter and reachable-state counts, and the
-partitioned pipeline allocates fewer peak nodes than the monolithic one
-in aggregate and on the largest system (a deterministic,
-machine-independent improvement -- the small systems trade a few nodes
-of cluster bookkeeping for nothing, the large ones save ~40%).  The
-aggregate wall-clock comparison arms only when the
-monolithic baseline is slow enough to measure (consistent with the
-CPU-count gate in ``benchmarks/test_parallel_oracle.py``); on fast
-hosts the numbers are still measured and recorded.
+node allocation, image-step counts and the partition shape.  Asserted
+(all deterministic and machine-independent): both configurations agree
+on diameter and reachable-state counts, and the partitioned pipeline
+allocates fewer peak nodes than the monolithic one in aggregate and on
+the largest system (the small systems trade a few nodes of cluster
+bookkeeping for nothing, the large ones save ~40%).  Wall-clock is
+recorded as ``partitioned_speedup`` but not asserted: the two
+configurations run within a few percent of each other, inside the
+noise of one host, and ``perfbench/`` gates wall-clock end to end.
 
-The asserted monolithic/partitioned wall-clock entries are measured in
-a **fresh subprocess** (min over ``TIMING_ROUNDS`` interleaved rounds):
-inside a long-lived pytest interpreter the two configurations' relative
-speed is distorted by accumulated heap state -- reproducibly, by tens
-of percent, in a direction that flips with unrelated code-size changes
--- while a bare interpreter measures the same ratio stably.  Structural
-metrics (peak nodes, diameter, state counts, partition shape) and the
-sifting configuration stay in-process; they are deterministic or not
-part of the asserted ratio.
+The wall-clock entries are measured in a **fresh subprocess** (min over
+``TIMING_ROUNDS`` interleaved rounds): inside a long-lived pytest
+interpreter the two configurations' relative speed is distorted by
+accumulated heap state -- reproducibly, by tens of percent, in a
+direction that flips with unrelated code-size changes -- while a bare
+interpreter measures the same ratio stably.  Structural metrics (peak
+nodes, diameter, state counts, partition shape) stay in-process; they
+are deterministic.
 
 Run:  pytest benchmarks/test_bdd.py -s
 """
@@ -43,10 +38,7 @@ import os
 import subprocess
 import sys
 import textwrap
-import time
 from pathlib import Path
-
-import pytest
 
 from repro.mc.symbolic import SharedBddContext, SymbolicReachability
 from repro.stateflow.library import get_benchmark
@@ -58,32 +50,18 @@ BENCHES = [
     "ModelingAnIntersectionOfTwo1wayStreetsUsingStateflow",
     "ModelingALaunchAbortSystem",
 ]
-SIFT_THRESHOLD = 6000
-# Wall-clock gate: below this aggregate baseline, timing noise dominates
-# any real difference between single-threaded configurations.
-MIN_MEASURABLE_SECONDS = 0.2
-# Timing rounds per asserted configuration; entries keep the minimum.
+# Timing rounds per configuration; entries keep the minimum.
 TIMING_ROUNDS = 5
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_bdd.json"
 
-CONFIGS = {
-    "monolithic": {"partitioned": False, "reorder_threshold": None},
-    "partitioned": {"partitioned": True, "reorder_threshold": None},
-    "partitioned_sifting": {
-        "partitioned": True,
-        "reorder_threshold": SIFT_THRESHOLD,
-    },
-}
+CONFIGS = {"monolithic": False, "partitioned": True}
 
 
-def _explore(system, **kwargs):
-    ctx = SharedBddContext(system, **kwargs)
+def _explore(system, partitioned):
+    ctx = SharedBddContext(system, partitioned=partitioned)
     engine = SymbolicReachability(system, context=ctx)
-    start = time.perf_counter()
     engine.explore()
-    states = engine.num_reachable_states()
-    seconds = time.perf_counter() - start
-    return ctx, engine, states, seconds
+    return ctx, engine, engine.num_reachable_states()
 
 
 def _isolated_timings() -> dict[str, dict[str, float]]:
@@ -100,10 +78,8 @@ def _isolated_timings() -> dict[str, dict[str, float]]:
             system = get_benchmark(name).system
             entry = best.setdefault(name, {{}})
             for _ in range({TIMING_ROUNDS}):
-                for key, part in (("monolithic", False), ("partitioned", True)):
-                    ctx = SharedBddContext(
-                        system, partitioned=part, reorder_threshold=None
-                    )
+                for key, part in {CONFIGS!r}.items():
+                    ctx = SharedBddContext(system, partitioned=part)
                     engine = SymbolicReachability(system, context=ctx)
                     start = time.perf_counter()
                     engine.explore()
@@ -134,11 +110,11 @@ def test_bdd_image_benchmark():
         system = get_benchmark(bench_name).system
         row: dict = {"total_bits": None}
         reference = None
-        for config_name, kwargs in CONFIGS.items():
-            ctx, engine, states, seconds = _explore(system, **kwargs)
-            # The asserted configurations report the isolated timing;
-            # the in-process number is unusable (see module docstring).
-            seconds = timings[bench_name].get(config_name, seconds)
+        for config_name, partitioned in CONFIGS.items():
+            ctx, engine, states = _explore(system, partitioned)
+            # Report the isolated timing; the in-process number is
+            # unusable (see module docstring).
+            seconds = timings[bench_name][config_name]
             row["total_bits"] = ctx.compiler.total_bits
             entry = {
                 "seconds": round(seconds, 4),
@@ -147,17 +123,10 @@ def test_bdd_image_benchmark():
                 "diameter": engine.diameter,
                 "states": states,
             }
-            if kwargs["partitioned"]:
+            if partitioned:
                 partition = ctx.partition()
                 entry["clusters"] = partition.num_clusters
                 entry["cluster_sizes"] = list(partition.cluster_sizes)
-            if kwargs["reorder_threshold"] is not None:
-                entry["reorders"] = ctx.manager.reorder_count
-                entry["live_after_reorder"] = ctx.manager.last_reorder_live
-                assert ctx.manager.reorder_count >= 1, (
-                    f"{bench_name}: sifting never fired at "
-                    f"threshold {SIFT_THRESHOLD}"
-                )
             row[config_name] = entry
             totals[config_name] += seconds
             if reference is None:
@@ -185,7 +154,6 @@ def test_bdd_image_benchmark():
     speedup = totals["monolithic"] / max(totals["partitioned"], 1e-9)
     record = {
         "systems": systems,
-        "sift_threshold": SIFT_THRESHOLD,
         "timing_rounds": TIMING_ROUNDS,
         "totals_seconds": {k: round(v, 4) for k, v in totals.items()},
         "partitioned_speedup": round(speedup, 3),
@@ -208,14 +176,4 @@ def test_bdd_image_benchmark():
         f"\nBDD image: {len(BENCHES)} systems | peak-node reduction "
         f"{reductions} | partitioned speedup {speedup:.2f}x | "
         f"recorded in {RESULT_PATH.name}"
-    )
-    if totals["monolithic"] < MIN_MEASURABLE_SECONDS:
-        pytest.skip(
-            f"monolithic baseline {totals['monolithic']:.3f}s is below the "
-            f"{MIN_MEASURABLE_SECONDS}s measurement floor; wall-clock "
-            f"comparison not expressible here (measured "
-            f"{speedup:.2f}x, recorded)"
-        )
-    assert speedup >= 1.0, (
-        f"partitioned image only {speedup:.2f}x vs monolithic"
     )

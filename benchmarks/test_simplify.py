@@ -208,9 +208,7 @@ def _clause_count(literals, presimplify):
 
 
 def _peak_nodes(system, presimplify):
-    ctx = SharedBddContext(
-        system, reorder_threshold=None, presimplify=presimplify
-    )
+    ctx = SharedBddContext(system, presimplify=presimplify)
     engine = SymbolicReachability(system, context=ctx)
     engine.explore()
     return ctx.manager.peak_nodes, engine.diameter, (

@@ -39,6 +39,11 @@ conventions.  This linter makes them enforced:
   calls) and pure builders (no class dispatch) stay allowed;
   ``expr/ast.py``, ``expr/rewrite.py`` and ``expr/rules.py`` are exempt
   because they *are* the sanctioned home of such code.
+* **C008** — environment access (``os.environ``, ``os.getenv``,
+  ``os.putenv``) inside the ``repro`` package.  Environment knobs are
+  invisible configuration that spawned workers inherit silently;
+  configuration travels as explicit arguments instead.  ``tests/``,
+  ``tools/`` and ``benchmarks/`` are outside the package and exempt.
 * **C000** — a suppression comment without a reason.
 
 Suppression syntax::
@@ -92,6 +97,9 @@ SMART_CONSTRUCTORS = frozenset(
     }
 )
 
+#: ``os`` attributes that read or write the process environment (C008).
+_ENV_ACCESS = frozenset({"environ", "getenv", "putenv"})
+
 #: How many distinct composite classes a function must dispatch on
 #: before C007 considers it a rewrite pass rather than a special case.
 _C007_MIN_CLASSES = 3
@@ -117,6 +125,7 @@ CODE_MESSAGES = {
         "ad-hoc algebraic rewrite outside the rule table "
         "(add a Rule in expr/rules.py)"
     ),
+    "C008": "environment access inside the repro package",
 }
 
 #: The documented span-name shape: at least one dot, every segment
@@ -164,6 +173,7 @@ class _ContractVisitor(ast.NodeVisitor):
         self.path = path
         self.in_expr_ast = in_expr_ast
         self.c007_exempt = c007_exempt
+        self.in_package = "src/repro/" in path.replace("\\", "/")  # C008
         self.findings: list[ContractFinding] = []
         # Local names bound by imports, so bare-name calls resolve.
         self.expr_node_names: set[str] = set()
@@ -172,6 +182,7 @@ class _ContractVisitor(ast.NodeVisitor):
         self.copy_modules: set[str] = set()
         self.time_fn_names: set[str] = set()
         self.time_modules: set[str] = set()
+        self.os_modules: set[str] = set()
         self.scope_depth = 0  # >0 inside a function body
         # C007: per-function frames of (dispatched classes, builder calls).
         self._rewrite_frames: list[dict] = []
@@ -197,6 +208,8 @@ class _ContractVisitor(ast.NodeVisitor):
                 self.copy_modules.add(local)
             if alias.name == "time":
                 self.time_modules.add(local)
+            if alias.name == "os":
+                self.os_modules.add(local)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -209,6 +222,10 @@ class _ContractVisitor(ast.NodeVisitor):
             for alias in node.names:
                 if alias.name == "time":
                     self.time_fn_names.add(alias.asname or alias.name)
+        if node.module == "os" and self.in_package:
+            for alias in node.names:
+                if alias.name in _ENV_ACCESS:
+                    self._report("C008", node, f"from os import {alias.name}")
         if _EXPR_MODULE.search(module) and (node.level > 0 or "repro" in module or module.startswith("expr")):
             for alias in node.names:
                 if alias.name in COMPOSITE_NODES:
@@ -241,6 +258,16 @@ class _ContractVisitor(ast.NodeVisitor):
             if func.value.id in self.time_modules and func.attr == "time":
                 self._report("C005", node, "time.time()")
         self._check_span_name(node)
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            self.in_package
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self.os_modules
+            and node.attr in _ENV_ACCESS
+        ):
+            self._report("C008", node, f"os.{node.attr}")
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
@@ -352,7 +379,7 @@ class _ContractVisitor(ast.NodeVisitor):
 
 def lint_source(source: str, path: str) -> list[ContractFinding]:
     """Lint one module's source; ``path`` is used for reporting and for
-    the ``expr/ast.py`` exemption."""
+    the path-scoped rules (C001, C007, C008)."""
     normalized = path.replace("\\", "/")
     in_expr_ast = normalized.endswith("expr/ast.py")
     c007_exempt = normalized.endswith(

@@ -3,112 +3,24 @@
 A compact BDD package supporting what symbolic reachability needs:
 hash-consed nodes, memoised ``ite``-based apply, memoised restriction,
 existential quantification over variable sets, a fused relational
-product (``and_exists``), variable renaming, model counting, and
-dynamic variable reordering.
+product (``and_exists``), order-preserving variable renaming and model
+counting.
 
-Variables are non-negative integers; their placement in the ordering is
-a separate *level* permutation (``level_of`` / ``var_at_level``).  A
-fresh manager places variable ``i`` at level ``i``, so callers that
-never reorder see the classic index-ordered behaviour (the interleaved
-current/next convention of symbolic model checking).  Reordering moves
-variables between levels via in-place adjacent-level swaps (Rudell
-sifting) without changing what any node id *means*.
+Variables are non-negative integers and the variable order is fixed:
+variable ``i`` sits above variable ``j`` iff ``i < j``.  Symbolic model
+checking allocates its bits in the interleaved current/next layout
+(next bit = current bit + 1), so that order is the classic one and the
+post-image next→current rename preserves it.
 
 Nodes are integers indexing into the manager's tables; 0 and 1 are the
 terminals.  This representation keeps the hot paths allocation-free.
-
-Reordering contract
--------------------
-The node store is append-only -- ids are never freed or recycled -- and
-an adjacent-level swap rewrites nodes in place so that every rewritten
-id keeps denoting the same Boolean function.  Liveness is root-driven:
-callers pin the BDDs they hold across reorder points with
-:meth:`protect` (a counted pin, released by :meth:`unprotect`).  A
-reorder (:meth:`reorder` / :meth:`maybe_reorder`) guarantees validity
-for protected nodes and everything reachable from them; unprotected
-ids must be treated as invalidated afterwards.  If *nothing* is
-protected, every current node is treated as a root (safe, but the
-sifting size metric then counts garbage).  All operation caches are
-cleared on reorder -- cached entries may reference nodes that were not
-rewritten -- which is the invalidation hook long-lived owners (e.g. the
-symbolic engine's shared context) rely on.
+The node store is append-only -- ids are never freed or recycled, so a
+node id denotes the same Boolean function for the manager's lifetime.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-
-# A fresh manager never auto-reorders; owners opt in via the
-# ``auto_reorder_threshold`` constructor argument or
-# ``enable_auto_reorder``.
-_MIN_AUTO_REORDER = 2048
-
-
-class _Accounting:
-    """Live-DAG reference counts scoped to one reordering pass.
-
-    Built from the protected roots (or every node, absent roots): a node
-    is *live* while its count of live parents plus root pins is
-    positive.  Swaps call :meth:`ref` / :meth:`deref` as they rewire
-    children, so deaths and revivals cascade and ``total`` is always the
-    exact live size -- the metric Rudell sifting minimises.
-    """
-
-    __slots__ = ("by_var", "mgr", "refs", "total")
-
-    def __init__(self, mgr: BddManager, roots: Iterable[tuple[int, int]]):
-        self.mgr = mgr
-        refs: dict[int, int] = {}
-        for node, pins in roots:
-            if node > 1:
-                refs[node] = refs.get(node, 0) + pins
-        stack = [n for n in refs]
-        seen: set[int] = set()
-        low, high = mgr._low, mgr._high
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            for child in (low[n], high[n]):
-                refs[child] = refs.get(child, 0) + 1
-                if child > 1 and child not in seen:
-                    stack.append(child)
-        refs.pop(0, None)
-        refs.pop(1, None)
-        self.refs = refs
-        self.total = len(seen)
-        by_var: dict[int, set[int]] = {}
-        var = mgr._var
-        for n in seen:
-            by_var.setdefault(var[n], set()).add(n)
-        self.by_var = by_var
-
-    def ref(self, node: int) -> None:
-        """Acquire a reference; revives (and re-refs children of) dead nodes."""
-        if node <= 1:
-            return
-        count = self.refs.get(node, 0)
-        self.refs[node] = count + 1
-        if count == 0:
-            mgr = self.mgr
-            self.by_var.setdefault(mgr._var[node], set()).add(node)
-            self.total += 1
-            self.ref(mgr._low[node])
-            self.ref(mgr._high[node])
-
-    def deref(self, node: int) -> None:
-        """Release a reference; cascades when a node's count hits zero."""
-        if node <= 1:
-            return
-        count = self.refs[node] - 1
-        self.refs[node] = count
-        if count == 0:
-            mgr = self.mgr
-            self.by_var[mgr._var[node]].discard(node)
-            self.total -= 1
-            self.deref(mgr._low[node])
-            self.deref(mgr._high[node])
 
 
 class _CountingCache(dict):
@@ -141,25 +53,18 @@ class _CountingCache(dict):
 
 
 class BddManager:
-    """Owns the node store, the level permutation and the operation caches."""
+    """Owns the node store and the operation caches."""
 
     FALSE = 0
     TRUE = 1
 
-    def __init__(
-        self,
-        auto_reorder_threshold: int | None = None,
-        profile_caches: bool | None = None,
-    ) -> None:
+    def __init__(self, profile_caches: bool | None = None) -> None:
         # node id -> (var, low, high); terminals use var = -1 sentinel.
         self._var: list[int] = [-1, -1]
         self._low: list[int] = [0, 0]
         self._high: list[int] = [0, 0]
         self._unique: dict[tuple[int, int, int], int] = {}
-        # Level permutation: identity until a reorder moves variables.
-        self._var2level: list[int] = []
-        self._level2var: list[int] = []
-        # Operation caches (all cleared by clear_caches / on reorder).
+        # Operation caches (all cleared by clear_caches).
         # ``profile_caches`` (default: on iff a telemetry session is
         # active at construction) swaps them for counting dicts; plain
         # dicts keep the recursions free of accounting overhead.
@@ -179,22 +84,13 @@ class BddManager:
         self._restrict_cache: dict[tuple[int, int, bool], int] = _cache()
         self._andex_cache: dict[tuple[int, int, frozenset[int]], int] = _cache()
         self._support_cache: dict[int, frozenset[int]] = {}
-        # Root pins for the reordering contract (node -> pin count).
-        self._protected: dict[int, int] = {}
         # Model counting uses per-call local caches; their stats are
         # folded into these totals after each walk (profiling mode).
         self._count_models_hits = 0
         self._count_models_misses = 0
         self.cache_clears = 0
         self.cache_dropped = 0
-        # Reorder bookkeeping.
-        self.reorder_count = 0
-        self.swap_count = 0
-        self.last_reorder_live: int | None = None
         self._published_metrics: dict[str, int] = {}
-        self._auto_reorder_at: int | None = None
-        if auto_reorder_threshold:
-            self.enable_auto_reorder(auto_reorder_threshold)
 
     # ------------------------------------------------------------------
     # node construction
@@ -212,25 +108,11 @@ class BddManager:
             self._unique[key] = node
         return node
 
-    def _ensure_var(self, index: int) -> None:
-        """Extend the level tables so ``index`` has a level (appended last)."""
-        while len(self._var2level) <= index:
-            self._var2level.append(len(self._level2var))
-            self._level2var.append(len(self._var2level) - 1)
-
     def var(self, index: int) -> int:
         """The BDD of variable ``index``."""
         if index < 0:
             raise ValueError(f"variable index must be >= 0, got {index}")
-        self._ensure_var(index)
         return self._mk(index, self.FALSE, self.TRUE)
-
-    def nvar(self, index: int) -> int:
-        """The BDD of ``¬variable``."""
-        if index < 0:
-            raise ValueError(f"variable index must be >= 0, got {index}")
-        self._ensure_var(index)
-        return self._mk(index, self.TRUE, self.FALSE)
 
     @property
     def num_nodes(self) -> int:
@@ -245,22 +127,6 @@ class BddManager:
         owners can record it without baking that invariant in.
         """
         return len(self._var)
-
-    def top_var(self, node: int) -> int:
-        return self._var[node]
-
-    def level_of(self, var: int) -> int:
-        """Current level (position in the ordering) of ``var``."""
-        self._ensure_var(var)
-        return self._var2level[var]
-
-    def var_at_level(self, level: int) -> int:
-        return self._level2var[level]
-
-    @property
-    def variable_order(self) -> tuple[int, ...]:
-        """Variables from top level to bottom."""
-        return tuple(self._level2var)
 
     def cofactors(self, node: int, var: int) -> tuple[int, int]:
         """(low, high) cofactors of ``node`` w.r.t. ``var``."""
@@ -285,13 +151,7 @@ class BddManager:
         cached = self._ite_cache.get(key)
         if cached is not None:
             return cached
-        v2l = self._var2level
-        tops = [
-            self._var[n]
-            for n in (cond, then, other)
-            if n > 1
-        ]
-        var = min(tops, key=v2l.__getitem__)
+        var = min(self._var[n] for n in (cond, then, other) if n > 1)
         c0, c1 = self.cofactors(cond, var)
         t0, t1 = self.cofactors(then, var)
         o0, o1 = self.cofactors(other, var)
@@ -340,14 +200,13 @@ class BddManager:
     # ------------------------------------------------------------------
     def restrict(self, node: int, var: int, value: bool) -> int:
         """Cofactor w.r.t. ``var = value`` (memoised over the shared DAG)."""
-        self._ensure_var(var)
-        return self._restrict_rec(node, var, bool(value), self._var2level[var])
+        return self._restrict_rec(node, var, bool(value))
 
-    def _restrict_rec(self, node: int, var: int, value: bool, target: int) -> int:
+    def _restrict_rec(self, node: int, var: int, value: bool) -> int:
         if node <= 1:
             return node
         node_var = self._var[node]
-        if self._var2level[node_var] > target:
+        if node_var > var:
             return node
         if node_var == var:
             return self._high[node] if value else self._low[node]
@@ -357,8 +216,8 @@ class BddManager:
             return cached
         result = self._mk(
             node_var,
-            self._restrict_rec(self._low[node], var, value, target),
-            self._restrict_rec(self._high[node], var, value, target),
+            self._restrict_rec(self._low[node], var, value),
+            self._restrict_rec(self._high[node], var, value),
         )
         self._restrict_cache[key] = result
         return result
@@ -368,30 +227,27 @@ class BddManager:
         var_set = frozenset(variables)
         if not var_set or node <= 1:
             return node
-        self._ensure_var(max(var_set))
-        v2l = self._var2level
-        max_level = max(v2l[v] for v in var_set)
-        return self._exists_rec(node, var_set, max_level)
+        return self._exists_rec(node, var_set, max(var_set))
 
-    def _exists_rec(self, node: int, var_set: frozenset[int], max_level: int) -> int:
+    def _exists_rec(self, node: int, var_set: frozenset[int], max_var: int) -> int:
         if node <= 1:
             return node
         var = self._var[node]
-        if self._var2level[var] > max_level:
+        if var > max_var:
             return node  # ordering: no quantified variable below here
         key = (node, var_set)
         cached = self._exists_cache.get(key)
         if cached is not None:
             return cached
-        low = self._exists_rec(self._low[node], var_set, max_level)
+        low = self._exists_rec(self._low[node], var_set, max_var)
         if var in var_set:
             if low == self.TRUE:
                 result = self.TRUE
             else:
-                high = self._exists_rec(self._high[node], var_set, max_level)
+                high = self._exists_rec(self._high[node], var_set, max_var)
                 result = self.apply_or(low, high)
         else:
-            high = self._exists_rec(self._high[node], var_set, max_level)
+            high = self._exists_rec(self._high[node], var_set, max_var)
             result = self._mk(var, low, high)
         self._exists_cache[key] = result
         return result
@@ -399,53 +255,48 @@ class BddManager:
     def and_exists(self, a: int, b: int, variables: Iterable[int]) -> int:
         """Relational product ``∃ vars. a ∧ b`` (image computation core).
 
-        Fused: the conjunction is never materialised below the highest
-        quantified level, which is what keeps partitioned image steps
-        from re-growing the intermediate product they exist to avoid.
+        Fused: the conjunction is never materialised above the last
+        quantified variable in the order, which is what keeps partitioned
+        image steps from re-growing the intermediate product they exist
+        to avoid.
         """
         var_set = frozenset(variables)
         if not var_set:
             return self.apply_and(a, b)
-        self._ensure_var(max(var_set))
-        max_level = max(self._var2level[v] for v in var_set)
-        return self._and_exists_rec(a, b, var_set, max_level)
+        return self._and_exists_rec(a, b, var_set, max(var_set))
 
     def _and_exists_rec(
-        self, a: int, b: int, var_set: frozenset[int], max_level: int
+        self, a: int, b: int, var_set: frozenset[int], max_var: int
     ) -> int:
         if a == self.FALSE or b == self.FALSE:
             return self.FALSE
         if a == self.TRUE:
-            return self._exists_rec(b, var_set, max_level)
+            return self._exists_rec(b, var_set, max_var)
         if b == self.TRUE or a == b:
-            return self._exists_rec(a, var_set, max_level)
-        v2l = self._var2level
-        var_a, var_b = self._var[a], self._var[b]
-        level_a, level_b = v2l[var_a], v2l[var_b]
-        if min(level_a, level_b) > max_level:
+            return self._exists_rec(a, var_set, max_var)
+        var = min(self._var[a], self._var[b])
+        if var > max_var:
             return self.apply_and(a, b)
         if a > b:
             a, b = b, a  # ∧ commutes: normalise the cache key
-            var_a, level_a, var_b, level_b = var_b, level_b, var_a, level_a
         key = (a, b, var_set)
         cached = self._andex_cache.get(key)
         if cached is not None:
             return cached
-        var = var_a if level_a <= level_b else var_b
         a0, a1 = self.cofactors(a, var)
         b0, b1 = self.cofactors(b, var)
         if var in var_set:
-            low = self._and_exists_rec(a0, b0, var_set, max_level)
+            low = self._and_exists_rec(a0, b0, var_set, max_var)
             if low == self.TRUE:
                 result = self.TRUE
             else:
-                high = self._and_exists_rec(a1, b1, var_set, max_level)
+                high = self._and_exists_rec(a1, b1, var_set, max_var)
                 result = self.apply_or(low, high)
         else:
             result = self._mk(
                 var,
-                self._and_exists_rec(a0, b0, var_set, max_level),
-                self._and_exists_rec(a1, b1, var_set, max_level),
+                self._and_exists_rec(a0, b0, var_set, max_var),
+                self._and_exists_rec(a1, b1, var_set, max_var),
             )
         self._andex_cache[key] = result
         return result
@@ -453,21 +304,17 @@ class BddManager:
     def rename(self, node: int, mapping: dict[int, int]) -> int:
         """Simultaneous variable substitution ``node[old := new, ...]``.
 
-        When the mapping preserves the *level* order of the node's
-        support (true for the interleaved current/next convention, in
-        any reordering that keeps pairs together) the result is built by
-        a direct structural walk; otherwise it falls back to an
-        ``ite``-based compose, which is correct for arbitrary mappings
-        -- including level-order-violating and collapsing ones.
+        The mapping must preserve the order of the node's support (as
+        the interleaved next→current rename of an image step does), so
+        the result is one structural walk.  A mapping that reorders or
+        merges support variables raises ``ValueError``.
         """
         if node <= 1 or not mapping:
             return node
         items = tuple(sorted(mapping.items()))
-        for old, new in items:
+        for _, new in items:
             if new < 0:
                 raise ValueError(f"variable index must be >= 0, got {new}")
-            self._ensure_var(old)
-            self._ensure_var(new)
         key = (node, items)
         cached = self._rename_cache.get(key)
         if cached is not None:
@@ -476,13 +323,12 @@ class BddManager:
         if not support & mapping.keys():
             self._rename_cache[key] = node
             return node
-        v2l = self._var2level
-        src = sorted(support, key=v2l.__getitem__)
-        dst_levels = [v2l[mapping.get(v, v)] for v in src]
-        if all(x < y for x, y in zip(dst_levels, dst_levels[1:], strict=False)):
-            result = self._rename_rec(node, items, mapping)
-        else:
-            result = self._subst_rec(node, items, mapping)
+        renamed = [mapping.get(v, v) for v in sorted(support)]
+        if any(x >= y for x, y in zip(renamed, renamed[1:], strict=False)):
+            raise ValueError(
+                f"renaming {mapping} does not preserve the variable order"
+            )
+        result = self._rename_rec(node, items, mapping)
         self._rename_cache[key] = result
         return result
 
@@ -500,24 +346,6 @@ class BddManager:
             mapping.get(var, var),
             self._rename_rec(self._low[node], items, mapping),
             self._rename_rec(self._high[node], items, mapping),
-        )
-        self._rename_cache[key] = result
-        return result
-
-    def _subst_rec(
-        self, node: int, items: tuple[tuple[int, int], ...], mapping: dict[int, int]
-    ) -> int:
-        if node <= 1:
-            return node
-        key = (node, items)
-        cached = self._rename_cache.get(key)
-        if cached is not None:
-            return cached
-        var = self._var[node]
-        result = self.ite(
-            self.var(mapping.get(var, var)),
-            self._subst_rec(self._high[node], items, mapping),
-            self._subst_rec(self._low[node], items, mapping),
         )
         self._rename_cache[key] = result
         return result
@@ -566,8 +394,7 @@ class BddManager:
         """Drop every operation cache; returns the number of entries dropped.
 
         Owners of long-lived managers call this to bound memory between
-        workloads; reordering calls it because cached results may
-        reference nodes the reorder did not rewrite.
+        workloads; node ids stay valid, only memoised results are lost.
         """
         dropped = self.cache_entries
         self._ite_cache.clear()
@@ -612,16 +439,13 @@ class BddManager:
         """Fold this manager's counters into a telemetry registry.
 
         Counter-style values are published as *deltas* since the last
-        publish (tracked per manager), so owners may call this at every
-        safe point — image steps do — without double counting.  Peaks
-        (node store, cache entries, reorder live size) go out as
-        max-merged gauges.
+        publish (tracked per manager), so owners may call this after
+        every image step without double counting.  Peaks (node store,
+        cache entries) go out as max-merged gauges.
         """
         counters = {
             "cache." + name: value for name, value in self.cache_stats.items()
         }
-        counters["reorders"] = self.reorder_count
-        counters["swaps"] = self.swap_count
         published = self._published_metrics
         for name in sorted(counters):
             diff = counters[name] - published.get(name, 0)
@@ -630,173 +454,6 @@ class BddManager:
                 published[name] = counters[name]
         registry.gauge_max(prefix + "peak_nodes", self.peak_nodes)
         registry.gauge_max(prefix + "cache_entries_peak", self.cache_entries)
-        if self.last_reorder_live is not None:
-            registry.gauge_max(prefix + "reorder_live", self.last_reorder_live)
-
-    # ------------------------------------------------------------------
-    # variable reordering
-    # ------------------------------------------------------------------
-    def protect(self, node: int) -> int:
-        """Pin ``node`` as a reorder root (counted; pair with unprotect)."""
-        if node > 1:
-            self._protected[node] = self._protected.get(node, 0) + 1
-        return node
-
-    def unprotect(self, node: int) -> None:
-        """Release one :meth:`protect` pin."""
-        if node <= 1:
-            return
-        count = self._protected.get(node, 0) - 1
-        if count > 0:
-            self._protected[node] = count
-        else:
-            self._protected.pop(node, None)
-
-    def _accounting(self) -> _Accounting:
-        if self._protected:
-            roots: Iterable[tuple[int, int]] = self._protected.items()
-        else:
-            # No declared roots: treat every node as live so that swaps
-            # keep the whole store well-ordered (metric includes garbage).
-            roots = ((n, 1) for n in range(2, len(self._var)))
-        return _Accounting(self, roots)
-
-    def swap_adjacent(self, level: int) -> None:
-        """Exchange the variables at ``level`` and ``level + 1`` in place.
-
-        Every live node keeps its id and its meaning; see the module
-        docstring for the validity contract.  Clears the operation
-        caches (a swap is a one-off reorder).
-        """
-        if not 0 <= level < len(self._level2var) - 1:
-            raise ValueError(f"no adjacent levels at {level}")
-        self._swap_tracked(level, self._accounting())
-        self.clear_caches()
-
-    def _swap_tracked(self, level: int, acc: _Accounting) -> None:
-        self.swap_count += 1
-        u = self._level2var[level]
-        v = self._level2var[level + 1]
-        var_arr, low_arr, high_arr = self._var, self._low, self._high
-        unique = self._unique
-        nodes_u = acc.by_var.get(u)
-        if nodes_u:
-            for n in list(nodes_u):
-                if acc.refs.get(n, 0) <= 0:
-                    continue  # died earlier in this pass
-                f0, f1 = low_arr[n], high_arr[n]
-                f0v = f0 > 1 and var_arr[f0] == v
-                f1v = f1 > 1 and var_arr[f1] == v
-                if not (f0v or f1v):
-                    continue  # independent of v: rides along with u
-                if f0v:
-                    f00, f01 = low_arr[f0], high_arr[f0]
-                else:
-                    f00 = f01 = f0
-                if f1v:
-                    f10, f11 = low_arr[f1], high_arr[f1]
-                else:
-                    f10 = f11 = f1
-                del unique[(u, f0, f1)]
-                new_low = self._mk(u, f00, f10)
-                new_high = self._mk(u, f01, f11)
-                var_arr[n] = v
-                low_arr[n] = new_low
-                high_arr[n] = new_high
-                unique[(v, new_low, new_high)] = n
-                nodes_u.discard(n)
-                acc.by_var.setdefault(v, set()).add(n)
-                acc.ref(new_low)
-                acc.ref(new_high)
-                acc.deref(f0)
-                acc.deref(f1)
-        self._level2var[level] = v
-        self._level2var[level + 1] = u
-        self._var2level[u] = level + 1
-        self._var2level[v] = level
-
-    def _sift_var(self, var: int, acc: _Accounting, max_growth: float) -> None:
-        """Move ``var`` through every level; settle at the best position."""
-        levels = len(self._level2var)
-        level = self._var2level[var]
-        best_size = acc.total
-        best_level = level
-        while level < levels - 1:  # downward pass
-            self._swap_tracked(level, acc)
-            level += 1
-            if acc.total < best_size:
-                best_size, best_level = acc.total, level
-            elif acc.total > best_size * max_growth:
-                break
-        while level > 0:  # upward pass
-            self._swap_tracked(level - 1, acc)
-            level -= 1
-            if acc.total < best_size:
-                best_size, best_level = acc.total, level
-            elif acc.total > best_size * max_growth:
-                break
-        while level < best_level:
-            self._swap_tracked(level, acc)
-            level += 1
-        while level > best_level:
-            self._swap_tracked(level - 1, acc)
-            level -= 1
-
-    def sift(self, max_growth: float = 1.2) -> int:
-        """One Rudell sifting pass over all variables.
-
-        Variables are visited by decreasing live-node count; each is
-        swapped through every level and parked where the live size was
-        smallest (a pass down a variable's worse direction aborts once
-        the size exceeds ``max_growth`` times the best seen).  Returns
-        the live node count after the pass.  Callers that want the
-        operation caches invalidated too should go through
-        :meth:`reorder`.
-        """
-        if len(self._level2var) < 2:
-            return self.num_nodes
-        acc = self._accounting()
-        order = sorted(
-            (v for v, nodes in acc.by_var.items() if nodes),
-            key=lambda v: (-len(acc.by_var[v]), v),
-        )
-        for var in order:
-            if acc.by_var.get(var):
-                self._sift_var(var, acc, max_growth)
-        return acc.total
-
-    def reorder(self, max_growth: float = 1.2) -> int:
-        """Sift, invalidate the operation caches, and record the pass.
-
-        Returns the live node count after sifting.  Only protected
-        nodes (and their descendants) are guaranteed valid afterwards.
-        """
-        live = self.sift(max_growth)
-        self.clear_caches()
-        self.reorder_count += 1
-        self.last_reorder_live = live
-        return live
-
-    def enable_auto_reorder(self, threshold: int) -> None:
-        """Arm :meth:`maybe_reorder` to fire once ``num_nodes`` reaches
-        ``threshold`` (and thereafter at each doubling of the store)."""
-        self._auto_reorder_at = max(int(threshold), _MIN_AUTO_REORDER)
-
-    def maybe_reorder(self) -> bool:
-        """Reorder iff the node store crossed the growth threshold.
-
-        This is the *only* auto-trigger: it must be called at a safe
-        point (no structural recursion in flight), which owners do
-        between image steps.  After firing, the next trigger is twice
-        the current store size, so reorder work stays proportional to
-        allocation growth.
-        """
-        threshold = self._auto_reorder_at
-        if threshold is None or self.num_nodes < threshold:
-            return False
-        self.reorder()
-        self._auto_reorder_at = max(threshold, self.num_nodes * 2)
-        return True
 
     # ------------------------------------------------------------------
     # inspection
@@ -815,8 +472,7 @@ class BddManager:
         """Number of satisfying assignments over ``num_vars`` variables
         (variables indexed 0..num_vars-1).
 
-        Counting walks *levels*, so the answer is reorder-independent;
-        the function's support must lie within the counted variables.
+        The function's support must lie within the counted variables.
         """
         for v in self.support(node):
             if v >= num_vars:
@@ -824,35 +480,34 @@ class BddManager:
                     f"cannot count over {num_vars} variables: "
                     f"support contains variable {v}"
                 )
-        levels = max(num_vars, len(self._level2var))
-        v2l = self._var2level
         cache: dict[int, int] = (
             _CountingCache() if self.profile_caches else {}
         )
 
         def count(n: int) -> tuple[int, int]:
-            """(models, level_or_levels) counted from the node's level down."""
+            """(models over variables var..num_vars-1, var) of a node;
+            terminals sit at ``num_vars``."""
             if n == self.FALSE:
-                return 0, levels
+                return 0, num_vars
             if n == self.TRUE:
-                return 1, levels
-            level = v2l[self._var[n]]
+                return 1, num_vars
+            var = self._var[n]
             cached = cache.get(n)
             if cached is not None:
-                return cached, level
-            low_models, low_level = count(self._low[n])
-            high_models, high_level = count(self._high[n])
-            total = low_models * (1 << (low_level - level - 1)) + high_models * (
-                1 << (high_level - level - 1)
+                return cached, var
+            low_models, low_var = count(self._low[n])
+            high_models, high_var = count(self._high[n])
+            total = low_models * (1 << (low_var - var - 1)) + high_models * (
+                1 << (high_var - var - 1)
             )
             cache[n] = total
-            return total, level
+            return total, var
 
         models, top = count(node)
         if self.profile_caches:
             self._count_models_misses += cache.insertions
             self._count_models_hits += cache.probes - cache.insertions
-        return (models * (1 << top)) >> (levels - num_vars)
+        return models << top
 
     def one_model(self, node: int) -> dict[int, bool] | None:
         """Some satisfying assignment (partial: only decided variables)."""

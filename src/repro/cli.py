@@ -288,16 +288,6 @@ _SEGMENT_HELP = (
 )
 
 
-_SIMPLIFY_HELP = (
-    "expression simplification backend: 'engine' (default; table-driven "
-    "rewrite rules matched through a discrimination net, legacy-"
-    "equivalent output), 'legacy' (the original hand-coded pass) or "
-    "'deep' (extended rule set with bounds-propagating context: "
-    "comparison chaining, ITE lifting, absorption, NNF pushing). "
-    "See docs/rewrite_engine.md."
-)
-
-
 _SESSION_HELP = (
     "learn through an incremental learner session (default): the trace "
     "set only grows, so each iteration extends the learner's persistent "
@@ -354,10 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
             "requires --segment-length)"
         ),
     )
-    run.add_argument(
-        "--simplify", choices=("engine", "legacy", "deep"),
-        default="engine", help=_SIMPLIFY_HELP,
-    )
     run.add_argument("--dot", help="write learned model as Graphviz DOT")
     run.add_argument("--invariants", action="store_true")
     run.add_argument("--telemetry", metavar="PATH", help=_TELEMETRY_HELP)
@@ -373,10 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=_ENGINE_HELP,
     )
     base.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    base.add_argument(
-        "--simplify", choices=("engine", "legacy", "deep"),
-        default="engine", help=_SIMPLIFY_HELP,
-    )
     base.set_defaults(fn=_cmd_baseline)
 
     analyze = sub.add_parser(
@@ -451,10 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
             "requires --segment-length)"
         ),
     )
-    table.add_argument(
-        "--simplify", choices=("engine", "legacy", "deep"),
-        default="engine", help=_SIMPLIFY_HELP,
-    )
     table.add_argument("--telemetry", metavar="PATH", help=_TELEMETRY_HELP)
     table.set_defaults(fn=_cmd_table1)
 
@@ -481,14 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "simplify", None):
-        import os
-
-        from .expr.simplify import set_simplify_backend
-
-        set_simplify_backend(args.simplify)
-        # --jobs workers are fresh processes; they read the env var.
-        os.environ["REPRO_SIMPLIFY"] = args.simplify
     return args.fn(args)
 
 

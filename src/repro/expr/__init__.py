@@ -85,9 +85,7 @@ from .simplify import (
     is_trivially_false,
     is_trivially_true,
     legacy_simplify,
-    set_simplify_backend,
     simplify,
-    simplify_backend,
 )
 from .subst import (
     rename_step,
@@ -121,8 +119,7 @@ __all__ = [
     "int_constants", "int_sort", "intern_table_size", "interval",
     "is_trivially_false", "is_trivially_true", "ite", "land", "le",
     "legacy_simplify", "lnot", "lor", "lt", "make_const_comparison_rules",
-    "maximum", "minimum", "mul", "ne", "neg", "rename_step",
-    "set_simplify_backend", "simplify", "simplify_backend", "sort_values",
-    "sub", "substitute", "substitute_values", "to_primed", "to_str",
-    "to_unprimed", "transform", "walk", "walk_unique",
+    "maximum", "minimum", "mul", "ne", "neg", "rename_step", "simplify",
+    "sort_values", "sub", "substitute", "substitute_values", "to_primed",
+    "to_str", "to_unprimed", "transform", "walk", "walk_unique",
 ]

@@ -9,72 +9,41 @@ The rules themselves are **data**: see the rule tables in
 :mod:`repro.expr.rules` (``DEFAULT_RULES`` is the authoritative list of
 what the default pass does, rule by rule, including the
 context-threaded nested-contradiction pruning) and the matching engine
-in :mod:`repro.expr.rewrite`.  Three backends share this entry point:
+in :mod:`repro.expr.rewrite`.  :func:`simplify` runs ``DEFAULT_RULES``
+on the discrimination-net engine; it is output-compatible with the
+legacy pass on the golden differential workloads, plus nested
+contradiction pruning.  Two more entry points sit beside it:
 
-* ``engine`` (default) -- ``DEFAULT_RULES`` on the discrimination-net
-  engine; output-compatible with the legacy pass on the golden
-  differential workloads, plus nested contradiction pruning.
-* ``legacy`` -- the original hand-coded pass (:func:`legacy_simplify`),
-  kept callable for differential testing.
-* ``deep``  -- ``EXTENDED_RULES`` (:func:`deep_simplify`): ITE
-  lifting/merging, NNF pushing, comparison chaining, constant-range
-  propagation, absorption/subsumption.  Opt-in: it changes expression
-  *shapes* (while preserving semantics), so the bit-for-bit pinned
-  workloads run it only through explicit presimplify hooks.
+* :func:`legacy_simplify` -- the original hand-coded pass, kept
+  callable as the reference for differential testing.
+* :func:`deep_simplify` -- ``EXTENDED_RULES``: ITE lifting/merging, NNF
+  pushing, comparison chaining, constant-range propagation,
+  absorption/subsumption.  It changes expression *shapes* (while
+  preserving semantics), so it runs only through explicit presimplify
+  hooks.
 
-Select the backend with :func:`set_simplify_backend` (CLI:
-``--simplify``; environment: ``REPRO_SIMPLIFY``).
-
-Whatever the backend, ``simplify`` is memoised by node identity
-(hash-consed core) and *idempotent*: rules are iterated to a fixpoint,
-the fixpoint is recorded for every intermediate form, and
-``simplify(simplify(e)) is simplify(e)`` always holds, so repeated
-simplification of shared predicates costs one dictionary lookup.
+Every entry point is memoised by node identity (hash-consed core) and
+*idempotent*: rules are iterated to a fixpoint, the fixpoint is
+recorded for every intermediate form, and ``simplify(simplify(e)) is
+simplify(e)`` always holds, so repeated simplification of shared
+predicates costs one dictionary lookup.
 """
 
 from __future__ import annotations
-
-import os
 
 from .ast import And, Const, Eq, Expr, FALSE, Not, Or, TRUE, Var, land, lnot, lor
 from .rules import default_engine, extended_engine
 from .subst import transform
 from .types import EnumSort
 
-_BACKENDS = ("engine", "legacy", "deep")
-
-_BACKEND = os.environ.get("REPRO_SIMPLIFY", "engine")
-if _BACKEND not in _BACKENDS:  # pragma: no cover - env misconfiguration
-    raise ValueError(
-        f"REPRO_SIMPLIFY={_BACKEND!r}: expected one of {_BACKENDS}"
-    )
-
-
-def set_simplify_backend(mode: str) -> None:
-    """Select the backend behind :func:`simplify` for this process."""
-    global _BACKEND
-    if mode not in _BACKENDS:
-        raise ValueError(
-            f"unknown simplify backend {mode!r}: expected one of {_BACKENDS}"
-        )
-    _BACKEND = mode
-
-
-def simplify_backend() -> str:
-    return _BACKEND
-
 
 def simplify(expr: Expr) -> Expr:
-    """Simplify ``expr`` under the selected backend (see module docs)."""
-    if _BACKEND == "engine":
-        return default_engine().simplify(expr)
-    if _BACKEND == "deep":
-        return extended_engine().simplify(expr)
-    return legacy_simplify(expr)
+    """Simplify ``expr`` with the default rule table (see module docs)."""
+    return default_engine().simplify(expr)
 
 
 def deep_simplify(expr: Expr) -> Expr:
-    """Simplify with the extended rule tier regardless of the backend."""
+    """Simplify with the extended rule tier."""
     return extended_engine().simplify(expr)
 
 

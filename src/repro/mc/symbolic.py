@@ -35,15 +35,11 @@ comparison etc. therefore serves both engines.
 
 Caching mirrors the SAT side's clause reuse: every engine instance over
 one system shares a :class:`SharedBddContext` (transition partition
-plus per-frontier image memo, see :func:`shared_bdd_context`),
-exploration is lazy (queries peel only the onion layers they need), and
-variable orderings are registered per observable *signature* so
-same-shaped systems agree on their bit layout
-(:func:`observable_signature`).  Long-lived BDDs (compiler memos,
-clusters, cached images, onion layers) are pinned with the manager's
-``protect`` so dynamic reordering (Rudell sifting, armed by the
-context's ``reorder_threshold``) can fire between image steps without
-invalidating them.
+plus per-frontier image memo, see :func:`shared_bdd_context`), and
+exploration is lazy (queries peel only the onion layers they need).
+The variable order is fixed by the bit layout, so node ids held across
+image steps (compiler memos, clusters, cached images, onion layers)
+stay valid for the life of the context.
 """
 
 from __future__ import annotations
@@ -162,39 +158,11 @@ class _VarBits:
         return len(self.current)
 
 
-def observable_signature(system: SymbolicSystem) -> tuple:
-    """Hashable shape of a system's observables (names, sorts, roles).
-
-    Two systems with the same signature get the same BDD variable
-    ordering from the registry below, regardless of their transition
-    relations -- orderings (and therefore shapes of characteristic
-    BDDs) transfer across systems the way learned clauses transfer
-    across queries on the SAT side.
-    """
-
-    def one(var: Var, is_state: bool) -> tuple:
-        lo, hi = _sort_range(var)
-        return (var.name, type(var.sort).__name__, lo, hi, is_state)
-
-    return tuple(
-        [one(v, True) for v in system.state_vars]
-        + [one(v, False) for v in system.input_vars]
-    )
-
-
-# Variable-ordering registry: observable signature -> computed layout.
-# Bounded (oldest-first eviction) so long-lived processes that stream
-# many distinct systems through cannot leak layouts.
-_ORDER_REGISTRY: dict[tuple, tuple[dict[str, _VarBits], int, int]] = {}
-_ORDER_REGISTRY_CAP = 256
-
-
 class BddCompiler:
     """Compiles expressions over a system's observables into BDDs.
 
-    The bit layout (interleaved current/next state bits, inputs last)
-    comes from the module's ordering registry keyed on the observable
-    signature, so same-shaped systems share one ordering decision.
+    The bit layout is interleaved current/next state bits (next bit =
+    current bit + 1) followed by the input bits, in declaration order.
     """
 
     def __init__(self, system: SymbolicSystem, *, presimplify=None):
@@ -210,23 +178,7 @@ class BddCompiler:
         # to a BDD exactly once per compiler.
         self._bool_memo: dict[int, int] = {}
         self._int_memo: dict[int, BitVec] = {}
-        signature = observable_signature(system)
-        layout = _ORDER_REGISTRY.get(signature)
-        if layout is None:
-            layout = self._compute_layout(system)
-            _ORDER_REGISTRY[signature] = layout
-            while len(_ORDER_REGISTRY) > _ORDER_REGISTRY_CAP:
-                _ORDER_REGISTRY.pop(next(iter(_ORDER_REGISTRY)))
-        bits, state_bits_end, total_bits = layout
-        self._bits = dict(bits)
-        self._state_bits_end = state_bits_end
-        self.total_bits = total_bits
-
-    @staticmethod
-    def _compute_layout(
-        system: SymbolicSystem,
-    ) -> tuple[dict[str, _VarBits], int, int]:
-        bits: dict[str, _VarBits] = {}
+        self._bits: dict[str, _VarBits] = {}
         index = 0
         for var in system.state_vars:
             lo, hi = _sort_range(var)
@@ -234,16 +186,15 @@ class BddCompiler:
             current = [index + 2 * bit for bit in range(width)]
             nxt = [index + 2 * bit + 1 for bit in range(width)]
             index += 2 * width
-            bits[var.name] = _VarBits(current, nxt, lo, hi)
-        state_bits_end = index
+            self._bits[var.name] = _VarBits(current, nxt, lo, hi)
         for var in system.input_vars:
             lo, hi = _sort_range(var)
             width = _width_for(var, lo, hi)
-            bits[var.name] = _VarBits(
+            self._bits[var.name] = _VarBits(
                 [index + bit for bit in range(width)], None, lo, hi
             )
             index += width
-        return bits, state_bits_end, index
+        self.total_bits = index
 
     # ------------------------------------------------------------------
     @property
@@ -333,8 +284,7 @@ class BddCompiler:
         if cached is not None:
             return cached
         node = self._compile_bool(expr)
-        # Pin: memo entries must survive dynamic reordering.
-        self._bool_memo[expr.eid] = self.manager.protect(node)
+        self._bool_memo[expr.eid] = node
         return node
 
     def _compile_bool(self, expr: Expr) -> int:
@@ -387,8 +337,6 @@ class BddCompiler:
         if cached is not None:
             return cached
         vec = self._compile_int(expr)
-        for bit in vec.bits:
-            self.manager.protect(bit)
         self._int_memo[expr.eid] = vec
         return vec
 
@@ -496,17 +444,19 @@ class TransitionPartition:
         return len(self.clusters)
 
 
+# Node budget of one merged partition cluster.
+CLUSTER_THRESHOLD = 400
+
+
 def build_transition_partition(
-    compiler: BddCompiler,
-    system: SymbolicSystem,
-    cluster_threshold: int = 400,
+    compiler: BddCompiler, system: SymbolicSystem
 ) -> TransitionPartition:
     """Compile R as merged conjunctive clusters plus an IWLS95-style order.
 
     One conjunct per state variable's next-state constraint
     (``x' = f(X, inputs')``) plus one per domain range constraint;
     adjacent small conjuncts are merged while the merged BDD stays under
-    ``cluster_threshold`` nodes.  Clusters are then ordered greedily:
+    ``CLUSTER_THRESHOLD`` nodes.  Clusters are then ordered greedily:
     repeatedly pick the cluster releasing the most quantifiable
     variables (variables no *remaining* cluster mentions), tie-breaking
     towards small supports, and derive the last-use quantification
@@ -530,7 +480,7 @@ def build_transition_partition(
             accum = conjunct
             continue
         merged = manager.apply_and(accum, conjunct)
-        if manager.size(merged) <= cluster_threshold:
+        if manager.size(merged) <= CLUSTER_THRESHOLD:
             accum = merged
         else:
             clusters.append(accum)
@@ -594,11 +544,7 @@ class SharedBddContext:
     The image step conjoins the partition's clusters in scheduled order,
     quantifying variables at their last use (``partitioned=True``, the
     default); ``partitioned=False`` restores the monolithic relational
-    product.  Every long-lived node (clusters, monolithic R, cached
-    frontiers/images) is pinned with ``manager.protect`` so sifting --
-    armed via ``reorder_threshold`` and triggered at the safe point
-    after each image -- cannot invalidate it; the manager clears its
-    operation caches on every reorder.
+    product.
     """
 
     def __init__(
@@ -606,17 +552,12 @@ class SharedBddContext:
         system: SymbolicSystem,
         *,
         partitioned: bool = True,
-        cluster_threshold: int = 400,
-        reorder_threshold: int | None = 150_000,
         presimplify=None,
     ):
         self._system = system
         self.compiler = BddCompiler(system, presimplify=presimplify)
         self.manager = self.compiler.manager
         self.partitioned = partitioned
-        self.cluster_threshold = cluster_threshold
-        if reorder_threshold is not None:
-            self.manager.enable_auto_reorder(reorder_threshold)
         self._trans: int | None = None
         self._partition: TransitionPartition | None = None
         self._image_cache: dict[int, int] = {}
@@ -626,21 +567,17 @@ class SharedBddContext:
     def trans_bdd(self) -> int:
         """The monolithic compiled ``R`` (kept for the reference path)."""
         if self._trans is None:
-            self._trans = self.manager.protect(
-                self.manager.apply_and(
-                    self.compiler.compile_bool(self._system.trans),
-                    self.compiler.domain_bdd(),
-                )
+            self._trans = self.manager.apply_and(
+                self.compiler.compile_bool(self._system.trans),
+                self.compiler.domain_bdd(),
             )
         return self._trans
 
     def partition(self) -> TransitionPartition:
         if self._partition is None:
             self._partition = build_transition_partition(
-                self.compiler, self._system, self.cluster_threshold
+                self.compiler, self._system
             )
-            for cluster in self._partition.clusters:
-                self.manager.protect(cluster)
         return self._partition
 
     def image(self, frontier: int) -> int:
@@ -653,9 +590,6 @@ class SharedBddContext:
                 registry.inc("bdd.image_memo_hits")
             return cached
         image = self.image_once(frontier, partitioned=self.partitioned)
-        manager = self.manager
-        manager.protect(frontier)
-        manager.protect(image)
         self._image_cache[frontier] = image
         self.image_computations += 1
         if registry is not None:
@@ -669,10 +603,7 @@ class SharedBddContext:
                 registry.gauge_max(
                     "bdd.schedule_immediate", len(part.immediate)
                 )
-            manager.publish_metrics(registry)
-        # Safe point: no structural recursion in flight, everything
-        # long-lived is pinned.
-        manager.maybe_reorder()
+            self.manager.publish_metrics(registry)
         return image
 
     def image_once(self, frontier: int, *, partitioned: bool) -> int:
@@ -734,10 +665,6 @@ class SymbolicReachability:
     def _start(self) -> None:
         if not self._layers:
             init = self._compiler.state_bdd(self._system.init_state)
-            # Layers and the partial union are pinned so dynamic
-            # reordering between image steps cannot invalidate them.
-            self._manager.protect(init)
-            self._manager.protect(init)  # one pin as layer, one as partial
             self._layers = [init]
             self._partial = init
 
@@ -749,15 +676,11 @@ class SymbolicReachability:
         manager = self._manager
         image = self._ctx.image(self._layers[-1])
         fresh = manager.apply_and(image, manager.apply_not(self._partial))
-        partial = manager.apply_or(self._partial, image)
-        if partial != self._partial:
-            manager.protect(partial)
-            manager.unprotect(self._partial)
-            self._partial = partial
+        self._partial = manager.apply_or(self._partial, image)
         if fresh == manager.FALSE:
             self._reached = self._partial
             return False
-        self._layers.append(manager.protect(fresh))
+        self._layers.append(fresh)
         return True
 
     def explore(self) -> None:

@@ -596,6 +596,24 @@ class TestContractLinter:
             f.code for f in lint_source(src, "src/repro/mc/symbolic.py")
         ] == ["C007"]
 
+    def test_c008_environment_access_in_package(self):
+        src = (
+            "import os\n"
+            "from os import getenv\n\n"
+            'mode = os.environ.get("MODE", "a")\n'
+            'os.putenv("MODE", mode)\n'
+        )
+        findings = lint_source(src, "src/repro/expr/simplify.py")
+        assert [(f.code, f.line) for f in findings] == [
+            ("C008", 2), ("C008", 4), ("C008", 5)
+        ]
+        # Outside the package (tests/, tools/, benchmarks/) it is allowed.
+        for path in ("tests/conftest.py", "tools/x.py", "benchmarks/b.py"):
+            assert lint_source(src, path) == []
+        # Other os attributes stay allowed inside the package.
+        src = "import os\n\np = os.path.join('a', 'b')\n"
+        assert lint_source(src, "src/repro/cli.py") == []
+
     def test_suppression_with_reason(self):
         src = (
             "import copy\n\n"

@@ -81,38 +81,43 @@ class TestAgainstExplicit:
         assert not symbolic.is_state_reachable({"x": 3})
 
 
-class TestOnBenchmarks:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "MealyVendingMachine",
-            "CountEvents",
-            "MooreTrafficLight",
-            "FrameSyncController",
-        ],
-    )
-    def test_counts_match_explicit(self, name):
-        from repro.mc import shared_reachability
-        from repro.stateflow.library import get_benchmark
-
-        benchmark = get_benchmark(name)
-        explicit = shared_reachability(benchmark.system)
-        symbolic = SymbolicReachability(benchmark.system)
-        assert symbolic.num_reachable_states() == explicit.num_states
-        assert symbolic.diameter == explicit.diameter
-
-
 def _library_names():
     from repro.stateflow.library import benchmark_names
 
     return benchmark_names()
 
 
+class TestOnBenchmarks:
+    # The explicit engine drives each system with its declared input
+    # samples, the BDD engine with the full input space.  They reach the
+    # same states wherever the samples cover every behaviour.  Here
+    # ``out`` latches a raw sensor reading, so the 25 sampled readings
+    # reach 35 of the 819 states the full 0..100 range reaches.
+    FULL_INPUT_COUNTS = {"ModelingARedundantSensorPairUsingAtomicSubchart": 819}
+
+    @pytest.mark.parametrize("name", _library_names())
+    def test_counts_match_explicit(self, name):
+        from repro.mc import shared_reachability
+        from repro.stateflow.library import get_benchmark
+
+        system = get_benchmark(name).system
+        explicit = shared_reachability(system)
+        symbolic = SymbolicReachability(system)
+        for state in explicit.reachable_states():
+            depth = symbolic.reachable_depth(state)
+            assert depth is not None, state
+            assert depth <= explicit.reachable_depth(state), state
+        assert symbolic.diameter == explicit.diameter
+        assert symbolic.num_reachable_states() == self.FULL_INPUT_COUNTS.get(
+            name, explicit.num_states
+        )
+
+
 class TestPartitionedVsMonolithic:
     """The partitioned image must be *bit-identical* to the monolithic one.
 
     Both pipelines compute ``∃ current, inputs: R ∧ frontier`` inside one
-    manager (reordering disabled), so by ROBDD canonicity equal
+    manager (one fixed variable order), so by ROBDD canonicity equal
     functions are equal node ids -- asserted for every onion layer of
     every library system, which makes diameters, layer contents and
     model counts identical by construction.
@@ -123,7 +128,7 @@ class TestPartitionedVsMonolithic:
         from repro.stateflow.library import get_benchmark
 
         system = get_benchmark(name).system
-        ctx = SharedBddContext(system, reorder_threshold=None)
+        ctx = SharedBddContext(system)
         manager = ctx.manager
         layer = ctx.compiler.state_bdd(system.init_state)
         reached = layer
@@ -143,29 +148,6 @@ class TestPartitionedVsMonolithic:
         engine = SymbolicReachability(system, context=ctx)
         assert engine.diameter == diameter
         assert engine.reached_bdd == reached
-
-    @pytest.mark.parametrize(
-        "name",
-        ["ModelingASecuritySystem", "ModelingAnIntersectionOfTwo1wayStreetsUsingStateflow"],
-    )
-    def test_sifting_config_agrees_semantically(self, name):
-        """With sifting forced, node ids change but the answers must not."""
-        from repro.stateflow.library import get_benchmark
-
-        system = get_benchmark(name).system
-        reference = SymbolicReachability(
-            system, context=SharedBddContext(system, reorder_threshold=None)
-        )
-        sifted_ctx = SharedBddContext(system, reorder_threshold=4096)
-        sifted = SymbolicReachability(system, context=sifted_ctx)
-        assert sifted.num_reachable_states() == reference.num_reachable_states()
-        assert sifted.diameter == reference.diameter
-        assert sifted_ctx.manager.reorder_count >= 1
-        assert sifted_ctx.manager.variable_order != tuple(
-            range(len(sifted_ctx.manager.variable_order))
-        )
-        # Depth queries keep working against the reordered manager.
-        assert sifted.reachable_depth(system.init_state) == 0
 
 
 class TestSymbolicSpuriousness:

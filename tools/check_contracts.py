@@ -16,7 +16,12 @@ hash-consed expression core and the spawn-based worker pool:
 * C005 -- no ``time.time()`` in measured paths (use ``time.monotonic``
   or ``time.perf_counter``);
 * C006 -- telemetry span names must follow the documented dotted
-  lowercase scheme (``"component.phase"``; see docs/observability.md).
+  lowercase scheme (``"component.phase"``; see docs/observability.md);
+* C007 -- no ad-hoc algebraic rewrites outside the rule table
+  (``expr/rules.py``);
+* C008 -- no environment access (``os.environ``, ``os.getenv``,
+  ``os.putenv``) inside the ``repro`` package; spawned workers inherit
+  environment knobs silently, so configuration is passed explicitly.
 
 Suppress a deliberate violation with ``# contract: ignore[CODE] reason``
 on the offending line or the line above; a suppression without a reason
