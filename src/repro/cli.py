@@ -101,6 +101,11 @@ def _do_run(args: argparse.Namespace) -> int:
         f"warm {result.warm_learn_seconds:.3f}s over "
         f"{result.warm_iterations}/{result.iterations} warm iteration(s)"
     )
+    spurious = sum(record.spurious_excluded for record in result.records)
+    print(
+        f"oracle: {spurious} spurious excluded, "
+        f"{result.recorded_inconclusive} recorded inconclusive"
+    )
     print()
     print(to_text(out.result.model, title=f"{benchmark.name}/{spec.name}",
                   primed_names=state_names))

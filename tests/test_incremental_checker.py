@@ -6,12 +6,17 @@ random assumptions/conclusions.  Rollback must leave no residue between
 queries, and base constraints must restrict counterexamples.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.expr import FALSE, TRUE, Var, eq, holds, int_sort, land, lnot, lor
 from repro.mc import check_condition, reachable_formula, shared_reachability
 from repro.mc.condition_check import IncrementalConditionChecker
+from repro.smt.encoder import Encoder
+from repro.stateflow.library import benchmark_names, get_benchmark
+from test_reachable_guidance import flat_dnf
 
 
 class TestEquivalence:
@@ -182,12 +187,37 @@ class TestReachableFormula:
         assert holds(formula, {"x": 4})
         assert not holds(formula, {"x": 3})
 
-    def test_cartesian_fallback(self, two_phase):
-        formula = reachable_formula(
-            two_phase, shared_reachability(two_phase), max_disjuncts=1
+    def test_exact_on_the_largest_library_system(self):
+        """Security's 561 reachable states all satisfy the formula; none
+        of the 9,807 other states in the product of the per-variable
+        value sets does."""
+        system = get_benchmark("ModelingASecuritySystem").system
+        reach = shared_reachability(system)
+        reachable = set(reach.reachable_keys())
+        formula = reachable_formula(system, reach)
+        names = system.state_names
+        values = [sorted({key[i] for key in reachable}) for i in range(len(names))]
+        product = set(itertools.product(*values))
+        admitted = {
+            key for key in product if holds(formula, dict(zip(names, key, strict=True)))
+        }
+        assert len(reachable) == 561
+        assert len(product - reachable) == 9_807
+        assert admitted == reachable
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_never_larger_than_the_flat_dnf(self, name):
+        system = get_benchmark(name).system
+        assert _clauses(system, reachable_formula(system)) <= _clauses(
+            system, flat_dnf(system)
         )
-        # Over-approximation: contains every reachable state...
-        for state in shared_reachability(two_phase).reachable_states():
-            assert holds(formula, dict(state))
-        # ...and stays within observed per-variable values.
-        assert not holds(formula, {"phase": 0, "cycles": 99})
+
+
+def _clauses(system, formula) -> int:
+    """Tseitin clauses ``formula`` adds on top of the variables' ranges."""
+    encoder = Encoder()
+    for var in system.state_vars:
+        encoder.declare(var)
+    before = encoder.clause_cursor()
+    encoder.encode_literal(formula)
+    return encoder.clause_cursor() - before

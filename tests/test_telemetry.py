@@ -454,6 +454,40 @@ class TestBehaviourInvariance:
         assert instrumented.outcomes == plain.outcomes
 
 
+class TestCapHits:
+    def test_cap_hits_counted_unguided_and_absent_with_guidance(self):
+        """A cap hit is an INCONCLUSIVE left by the strengthening cap;
+        exact reachable-state guidance leaves nothing to strengthen."""
+        from repro.mc import reachable_formula
+
+        bench = get_benchmark("ModelingASecuritySystem")
+        spec = bench.fsa("InMotion InActive")
+        traces = random_traces(bench.system, count=10, length=10, seed=0)
+        conditions = extract_conditions(default_learner(bench, spec).learn(traces))
+
+        def counters(domain):
+            session = telemetry.start("test")
+            try:
+                with make_oracle(
+                    bench.system,
+                    "explicit",
+                    bench.k,
+                    max_strengthenings=2,
+                    domain_assumption=domain,
+                ) as oracle:
+                    oracle.check_all(conditions)
+                return session.metrics.snapshot()["counters"]
+            finally:
+                telemetry.stop()
+
+        unguided = counters(None)
+        assert unguided["oracle.cap_hits"] > 0
+        assert unguided["oracle.inconclusive"] >= unguided["oracle.cap_hits"]
+        guided = counters(reachable_formula(bench.system))
+        assert guided.get("oracle.cap_hits", 0) == 0
+        assert guided.get("oracle.strengthening_rounds", 0) == 0
+
+
 def default_learner_for(system):
     from repro.learn import T2MLearner
 
