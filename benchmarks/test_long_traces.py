@@ -14,9 +14,8 @@ Three measurements on the launch-abort system, recorded together in
    a subprocess.  Monolithic learning blows through the budget (a
    ~17 h extrapolation), so the recorded speedup is a *lower bound*:
    budget / segmented seconds, asserted >= 5x.  The assertion is gated
-   behind a measurement floor like ``BENCH_parallel_oracle.json``'s: it
-   only runs when the monolithic side was either capped or took long
-   enough to time meaningfully.
+   behind a measurement floor: it only runs when the monolithic side was
+   either capped or took long enough to time meaningfully.
 3. **10^6-event learn with bounded memory** -- a million-event stream
    (never materialised: :func:`long_trace_events` generates lazily,
    segments are sliced on the fly) learned end to end under

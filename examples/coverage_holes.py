@@ -18,10 +18,9 @@ from repro.core import (
     extract_conditions,
 )
 from repro.evaluation import default_learner
-from repro.learn import T2MLearner
 from repro.mc import ExplicitSpuriousness, shared_reachability
 from repro.stateflow.library import get_benchmark
-from repro.traces import Trace, TraceSet, guided_trace
+from repro.traces import TraceSet, guided_trace
 
 
 def nominal_test_suite(system) -> TraceSet:

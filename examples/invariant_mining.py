@@ -15,7 +15,7 @@ Run:  python examples/invariant_mining.py
 """
 
 from repro.core import ActiveLearner
-from repro.expr import Var, enum_sort, eq, ite, land
+from repro.expr import Var, enum_sort, ite
 from repro.learn import T2MLearner
 from repro.mc import check_condition
 from repro.system import make_system

@@ -30,7 +30,31 @@ from .core import telemetry
 from .evaluation import run_active, run_random_baseline
 from .expr.printer import to_str
 from .mc.spurious import SPURIOUS_ENGINES
+from .stateflow.benchmark import Benchmark, FsaSpec
 from .stateflow.library import benchmark_names, get_benchmark
+
+
+class _UnknownNameError(LookupError):
+    """A benchmark or FSA name the library does not define."""
+
+
+def _benchmark(name: str) -> Benchmark:
+    if name not in benchmark_names():
+        raise _UnknownNameError(
+            f"unknown benchmark {name!r} (`repro list` shows the names)"
+        )
+    return get_benchmark(name)
+
+
+def _fsa(benchmark: Benchmark, name: str | None) -> FsaSpec:
+    if name is None:
+        return benchmark.fsas[0]
+    names = [spec.name for spec in benchmark.fsas]
+    if name not in names:
+        raise _UnknownNameError(
+            f"{benchmark.name} has no FSA {name!r} (FSAs: {', '.join(names)})"
+        )
+    return benchmark.fsa(name)
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -76,8 +100,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _do_run(args: argparse.Namespace) -> int:
-    benchmark = get_benchmark(args.benchmark)
-    spec = benchmark.fsa(args.fsa) if args.fsa else benchmark.fsas[0]
+    benchmark = _benchmark(args.benchmark)
+    spec = _fsa(benchmark, args.fsa)
     out = run_active(
         benchmark,
         spec,
@@ -86,7 +110,6 @@ def _do_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         budget_seconds=args.budget,
         spurious_engine=args.engine,
-        jobs=args.jobs,
         use_session=args.session,
         segment_length=args.segment_length,
         segment_overlap=args.segment_overlap,
@@ -118,12 +141,6 @@ def _do_run(args: argparse.Namespace) -> int:
             "reachable states):"
         )
         print(f"  {to_str(out.result.proved_invariant)}")
-    elif args.engine == "ic3" and args.jobs > 1:
-        print(
-            "\n(IC3 frame invariants live in the --jobs worker processes "
-            "and are not collected; run with --jobs 1 to print the proved "
-            "invariant.)"
-        )
     if args.dot:
         with open(args.dot, "w") as handle:
             handle.write(
@@ -134,15 +151,14 @@ def _do_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    benchmark = get_benchmark(args.benchmark)
-    spec = benchmark.fsa(args.fsa) if args.fsa else benchmark.fsas[0]
+    benchmark = _benchmark(args.benchmark)
+    spec = _fsa(benchmark, args.fsa)
     out = run_random_baseline(
         benchmark,
         spec,
         num_observations=args.observations,
         seed=args.seed,
         spurious_engine=args.engine,
-        jobs=args.jobs,
     )
     print(BaselineRow.HEADER)
     print(out.row.format())
@@ -163,10 +179,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    benchmarks = [_benchmark(name) for name in names]
     threshold = Severity[args.severity.upper()]
     worst_findings = 0
-    for name in names:
-        benchmark = get_benchmark(name)
+    for benchmark in benchmarks:
+        name = benchmark.name
         report = check_benchmark(benchmark, semantic=args.semantic)
         if args.trace:
             from .traces.io import load_csv, load_json, load_jsonl
@@ -204,9 +221,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _do_table1(args: argparse.Namespace) -> int:
     active_rows: list[TableRow] = []
     baseline_rows: list[BaselineRow] = []
-    names = args.benchmarks or benchmark_names()
-    for name in names:
-        benchmark = get_benchmark(name)
+    benchmarks = [_benchmark(name) for name in args.benchmarks or benchmark_names()]
+    for benchmark in benchmarks:
         for spec in benchmark.fsas:
             out = run_active(
                 benchmark,
@@ -216,7 +232,6 @@ def _do_table1(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 budget_seconds=args.budget,
                 spurious_engine=args.engine,
-                jobs=args.jobs,
                 use_session=args.session,
                 segment_length=args.segment_length,
                 segment_overlap=args.segment_overlap,
@@ -227,7 +242,6 @@ def _do_table1(args: argparse.Namespace) -> int:
                 base = run_random_baseline(
                     benchmark, spec, num_observations=args.observations,
                     seed=args.seed, spurious_engine=args.engine,
-                    jobs=args.jobs,
                 )
                 baseline_rows.append(base.row)
     print("\nTable I (active algorithm):")
@@ -256,20 +270,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 _TELEMETRY_HELP = (
     "write spans + the final metrics snapshot as deterministic JSONL "
-    "events to this path (render with `repro profile`); with --jobs N "
-    "the snapshot is the merged fleet total over all worker processes. "
+    "events to this path (render with `repro profile`). "
     "See docs/observability.md."
-)
-
-
-_JOBS_HELP = (
-    "condition-checking worker processes (default 1 = in-process). "
-    "With N > 1 every completeness check is sharded over N persistent "
-    "workers, each owning its own incremental solver; conditions are "
-    "routed with sticky condition-to-worker affinity (repeats and "
-    "same-symbol conditions return to the worker whose learned-clause "
-    "database already covers them) and the merged report is bit-for-bit "
-    "identical to the serial one."
 )
 
 
@@ -286,9 +288,9 @@ _ENGINE_HELP = (
 
 _SEGMENT_HELP = (
     "long-trace mode: slice every trace into overlapping segments of "
-    "this many events, learn each distinct segment once (memoised, and "
-    "fanned out over --jobs workers), then unify the per-segment models "
-    "by overlap splicing (default: off = monolithic learning). See "
+    "this many events, learn each distinct segment once (memoised), then "
+    "unify the per-segment models by overlap splicing (default: off = "
+    "monolithic learning). See "
     "docs/long_traces.md."
 )
 
@@ -309,11 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Active learning of abstract system models from traces using "
             "model checking (DATE 2022 reproduction)"
         ),
-        epilog=(
-            "Parallelism: --jobs N runs the completeness oracle on N worker "
-            "processes. Results are deterministic and independent of N; see "
-            "docs/parallel_oracle.md for the affinity and determinism design."
-        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -330,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=SPURIOUS_ENGINES, default="explicit",
         help=_ENGINE_HELP,
     )
-    run.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     run.add_argument(
         "--session",
         action=argparse.BooleanOptionalAction,
@@ -363,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=SPURIOUS_ENGINES, default="explicit",
         help=_ENGINE_HELP,
     )
-    base.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     base.set_defaults(fn=_cmd_baseline)
 
     analyze = sub.add_parser(
@@ -419,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table.add_argument("--baseline", action="store_true")
     table.add_argument("--observations", type=int, default=20_000)
-    table.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     table.add_argument(
         "--session",
         action=argparse.BooleanOptionalAction,
@@ -464,7 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _UnknownNameError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,11 +34,10 @@ from .metrics import (
     format_baseline_table,
     format_table,
 )
-from .oracle import CompletenessOracle, ConditionOutcome, OracleReport
-from .parallel import (
-    OracleSpec,
-    ParallelCompletenessOracle,
-    SystemSpec,
+from .oracle import (
+    CompletenessOracle,
+    ConditionOutcome,
+    OracleReport,
     make_oracle,
 )
 from . import telemetry
@@ -73,11 +72,8 @@ __all__ = [
     "IterationRecord",
     "BatchRun",
     "OracleReport",
-    "OracleSpec",
-    "ParallelCompletenessOracle",
     "PersistentWorkerPool",
     "PoolWorker",
-    "SystemSpec",
     "TableRow",
     "make_oracle",
     "telemetry",

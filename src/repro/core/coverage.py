@@ -23,8 +23,7 @@ from ..mc.explicit import reachable_formula
 from ..system.transition_system import SymbolicSystem
 from ..traces.trace import Trace, TraceSet
 from .conditions import extract_conditions
-from .oracle import CompletenessOracle, ConditionOutcome
-from .parallel import ParallelCompletenessOracle, make_oracle
+from .oracle import CompletenessOracle, ConditionOutcome, make_oracle
 from .refine import counterexample_traces
 
 
@@ -58,13 +57,12 @@ class CoverageReport:
 
 
 def _oracle_for(
-    system: SymbolicSystem, k: int, guided: bool, jobs: int = 1
-) -> CompletenessOracle | ParallelCompletenessOracle:
+    system: SymbolicSystem, k: int, guided: bool
+) -> CompletenessOracle:
     return make_oracle(
         system,
         "explicit",
         k,
-        jobs=jobs,
         respect_k=False,
         domain_assumption=reachable_formula(system) if guided else None,
     )
@@ -76,25 +74,17 @@ def evaluate_suite(
     learner: ModelLearner,
     k: int = 10,
     guided: bool = True,
-    jobs: int = 1,
-    oracle: "CompletenessOracle | ParallelCompletenessOracle | None" = None,
+    oracle: CompletenessOracle | None = None,
 ) -> CoverageReport:
     """Measure how completely ``suite`` exercises ``system``.
 
-    ``jobs > 1`` shards the condition checks across worker processes;
-    pass a pre-built ``oracle`` instead to keep one pool (and its hot
-    solver state) alive across repeated evaluations, as
-    :func:`close_holes` does.
+    Pass a pre-built ``oracle`` to keep its hot solver state across
+    repeated evaluations, as :func:`close_holes` does.
     """
     model = learner.learn(suite)
-    own_oracle = oracle is None
-    if own_oracle:
-        oracle = _oracle_for(system, k, guided, jobs=jobs)
-    try:
-        report = oracle.check_all(extract_conditions(model))
-    finally:
-        if own_oracle:
-            oracle.close()
+    if oracle is None:
+        oracle = _oracle_for(system, k, guided)
+    report = oracle.check_all(extract_conditions(model))
     holes = [
         CoverageHole(
             description=outcome.condition.describe(),
@@ -135,35 +125,30 @@ def close_holes(
     k: int = 10,
     max_rounds: int = 25,
     guided: bool = True,
-    jobs: int = 1,
 ) -> HoleClosingResult:
     """Grow ``suite`` with generated tests until coverage reaches α = 1.
 
     Coverage may dip transiently -- newly exercised behaviour creates new
     proof obligations -- before converging; the progression records it.
-    One oracle (and, with ``jobs > 1``, one worker pool) serves every
-    round, so solver state learned in round ``n`` speeds up round
-    ``n + 1``.
+    One oracle serves every round, so solver state learned in round
+    ``n`` speeds up round ``n + 1``.
     """
     working = suite.copy()
-    oracle = _oracle_for(system, k, guided, jobs=jobs)
-    try:
-        report = evaluate_suite(system, working, learner, k, guided, oracle=oracle)
-        progression = [report.alpha]
-        rounds = 0
-        while not report.complete and rounds < max_rounds:
-            added = 0
-            for hole in report.holes:
-                added += working.update(hole.generated_tests)
-            rounds += 1
-            if added == 0:
-                break
-            report = evaluate_suite(
-                system, working, learner, k, guided, oracle=oracle
-            )
-            progression.append(report.alpha)
-    finally:
-        oracle.close()
+    oracle = _oracle_for(system, k, guided)
+    report = evaluate_suite(system, working, learner, k, guided, oracle=oracle)
+    progression = [report.alpha]
+    rounds = 0
+    while not report.complete and rounds < max_rounds:
+        added = 0
+        for hole in report.holes:
+            added += working.update(hole.generated_tests)
+        rounds += 1
+        if added == 0:
+            break
+        report = evaluate_suite(
+            system, working, learner, k, guided, oracle=oracle
+        )
+        progression.append(report.alpha)
     return HoleClosingResult(
         suite=working, progression=progression, rounds=rounds
     )

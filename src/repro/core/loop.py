@@ -30,8 +30,7 @@ from ..traces.trace import TraceSet
 from . import telemetry
 from .conditions import extract_conditions
 from .invariants import Invariant, extract_invariants
-from .oracle import OracleReport
-from .parallel import make_oracle
+from .oracle import OracleReport, make_oracle
 from .refine import augment_traces
 
 
@@ -73,8 +72,7 @@ class ActiveLearningResult:
     #: Inductive invariant accumulated by a proof-based spuriousness
     #: engine (``spurious_engine="ic3"``): the conjunction of every
     #: frame clause IC3 converged on while classifying counterexamples.
-    #: None for the other engines (and under ``jobs > 1``, where the
-    #: frames live in worker processes).
+    #: None for the other engines.
     proved_invariant: "Expr | None" = None
     total_seconds: float = 0.0
     learn_seconds: float = 0.0
@@ -158,24 +156,11 @@ class ActiveLearner:
         every size, so no guided counterexample is spurious: each
         condition is decided in one solve, and the only INCONCLUSIVEs
         left are reachable states deeper than ``k``.
-    jobs:
-        Number of condition-checking worker processes.  ``1`` (default)
-        checks everything in-process, exactly as before.  With more,
-        ``check_all`` shards conditions across a persistent pool with
-        sticky condition→worker affinity and produces a bit-for-bit
-        identical report (see :mod:`repro.core.parallel`).  Call
-        :meth:`close` (or use the learner as a context manager) to shut
-        the pool down; the workers are kept alive *across* loop
-        iterations so their learned-clause databases stay hot.
-    oracle_start_method:
-        Multiprocessing start method for the worker pool (``"spawn"``
-        default; ``"fork"`` starts faster where available).
     canonical_counterexamples:
-        Force counterexample canonicalisation on (``True``) or leave the
-        per-``jobs`` default (``None``): off for the fast serial path,
-        always on for worker pools.  ``True`` with ``jobs=1`` yields the
-        deterministic serial reference that any ``jobs>1`` run
-        reproduces bit for bit.
+        Check with lexicographically minimal counterexamples, the
+        deterministic reference mode (see
+        :class:`~repro.core.oracle.CompletenessOracle`); off by default
+        because minimisation costs extra solver probes.
     use_session:
         Learn through a :class:`~repro.learn.base.LearnerSession`
         (default).  The trace set only ever grows across iterations, so
@@ -189,9 +174,7 @@ class ActiveLearner:
         ``False`` forces a plain ``learn()`` call every iteration.
     validate:
         Run the static analyzer over the system up front and over every
-        condition before it is model-checked (the flag rides inside
-        :class:`~repro.core.parallel.OracleSpec`, so pool workers
-        validate too).  ERROR findings raise
+        condition before it is model-checked.  ERROR findings raise
         :class:`~repro.analysis.diagnostics.AnalysisError` with the full
         diagnostic report.
     """
@@ -208,9 +191,7 @@ class ActiveLearner:
         budget_seconds: float | None = None,
         max_strengthenings: int = 100,
         guide_with_reachable: bool = False,
-        jobs: int = 1,
-        oracle_start_method: str = "spawn",
-        canonical_counterexamples: bool | None = None,
+        canonical_counterexamples: bool = False,
         use_session: bool = True,
         validate: bool = False,
     ):
@@ -233,22 +214,21 @@ class ActiveLearner:
             system,
             spurious_engine,
             k,
-            jobs=jobs,
             respect_k=respect_k,
             state_only=state_only,
             max_strengthenings=max_strengthenings,
             domain_assumption=domain_assumption,
-            start_method=oracle_start_method,
             canonical=canonical_counterexamples,
             validate=validate,
         )
 
     def close(self) -> None:
-        """Shut down the worker pools (oracle, and learner if it owns one)."""
-        self._oracle.close()
-        # A pooled learner (e.g. SegmentedLearner with jobs > 1) owns
-        # worker processes of its own; closing here gives "with
-        # ActiveLearner(...)" one lifetime for everything.
+        """Shut down the learner's worker pool, if it owns one.
+
+        A pooled learner (``SegmentedLearner`` with ``jobs > 1``) owns
+        worker processes; closing here gives ``with ActiveLearner(...)``
+        one lifetime for everything.
+        """
         closer = getattr(self._learner, "close", None)
         if closer is not None:
             closer()
@@ -393,10 +373,9 @@ class ActiveLearner:
                 if converged
                 else []
             )
-        proved_invariant = None
-        checker = getattr(self._oracle, "spurious_checker", None)
-        if checker is not None:
-            proved_invariant = getattr(checker, "proved_invariant", None)
+        proved_invariant = getattr(
+            self._oracle.spurious_checker, "proved_invariant", None
+        )
         # total_seconds is stamped by run() from the enclosing loop.run
         # span once it closes; learn/check splits come from the per-
         # iteration spans accumulated above.

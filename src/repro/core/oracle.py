@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from ..expr.ast import Expr, land
 from ..mc.condition_check import IncrementalConditionChecker
 from ..mc.harness import strengthened_assumption
-from ..mc.spurious import SpuriousnessChecker
+from ..mc.spurious import SpuriousnessChecker, build_spurious_checker
 from ..mc.verdicts import SpuriousVerdict
 from ..system.transition_system import SymbolicSystem
 from ..system.valuation import Valuation
@@ -109,26 +109,21 @@ class CompletenessOracle:
         :class:`~repro.analysis.diagnostics.AnalysisError` with the full
         diagnostic report on ERROR findings.  This is the front-door
         validation boundary: anything that feeds the oracle untrusted
-        specs (the CLI, the evaluation runners, a future job server's
-        workers -- which rebuild their oracles from
-        :class:`~repro.core.parallel.OracleSpec` and therefore inherit
-        the flag) fails fast with named diagnostics instead of a deep
-        engine traceback.  Condition validation reuses one eid-memoised
-        checker across the oracle's lifetime, so re-checking the
-        conditions of successive candidate models costs only the DAG
-        nodes not seen before.
+        specs (the CLI, the evaluation runners) fails fast with named
+        diagnostics instead of a deep engine traceback.  Condition
+        validation reuses one eid-memoised checker across the oracle's
+        lifetime, so re-checking the conditions of successive candidate
+        models costs only the DAG nodes not seen before.
     canonical_counterexamples:
         Return the lexicographically minimal counterexample per query
         instead of the solver's first model.  Canonical counterexamples
         make every outcome a pure function of the condition --
-        independent of solver history, condition order and process
-        boundaries -- which is what lets the sharded
-        :class:`~repro.core.parallel.ParallelCompletenessOracle`
-        reproduce the same report regardless of ``jobs``.  Off by
-        default: minimisation costs extra solver probes per
-        counterexample (~4x check time on churn-heavy workloads), so the
-        plain serial oracle keeps the historical fast path and the
-        parallel oracle family turns it on.
+        independent of solver history, condition order and process hash
+        seed -- which makes this the deterministic reference mode the
+        golden, reachable-guidance and ic3 suites compare against.  Off
+        by default: minimisation costs extra solver probes per
+        counterexample (an order of magnitude more check time on
+        churn-heavy workloads; see ``docs/engines.md``).
     """
 
     def __init__(
@@ -193,19 +188,6 @@ class CompletenessOracle:
         self._checker = IncrementalConditionChecker(system)
         if domain_assumption is not None:
             self._checker.add_base_constraint(domain_assumption)
-
-    def close(self) -> None:
-        """Release resources (no-op for the in-process oracle).
-
-        Present so serial and parallel oracles share a lifecycle
-        contract; see :class:`repro.core.parallel.ParallelCompletenessOracle`.
-        """
-
-    def __enter__(self) -> "CompletenessOracle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     def check(
@@ -327,8 +309,7 @@ class CompletenessOracle:
         conjoining that clause rules out the whole region in one round.
         Canonical mode sticks to the blind exclusion: the generalized
         clause depends on the engine's proof history, and canonical
-        outcomes must stay pure functions of the condition (that purity
-        is what makes the sharded oracle's reports order-independent).
+        outcomes must stay pure functions of the condition.
         """
         if not self._canonical:
             supplier = getattr(self._spurious, "spurious_exclusion", None)
@@ -361,3 +342,36 @@ class CompletenessOracle:
                 report.truncated = True
                 break
         return report
+
+
+def make_oracle(
+    system: SymbolicSystem,
+    spurious_engine: str,
+    k: int,
+    *,
+    respect_k: bool = True,
+    state_only: bool = True,
+    max_strengthenings: int = 100,
+    domain_assumption: Expr | None = None,
+    canonical: bool = False,
+    validate: bool = False,
+) -> CompletenessOracle:
+    """Build an oracle whose spuriousness strategy is named, not passed.
+
+    ``spurious_engine`` is one of
+    :data:`~repro.mc.spurious.SPURIOUS_ENGINES`; ``canonical=True``
+    turns on the deterministic reference mode (see
+    ``canonical_counterexamples`` on :class:`CompletenessOracle`).
+    """
+    return CompletenessOracle(
+        system,
+        build_spurious_checker(
+            system, spurious_engine, respect_k=respect_k, state_only=state_only
+        ),
+        k,
+        state_only=state_only,
+        max_strengthenings=max_strengthenings,
+        domain_assumption=domain_assumption,
+        canonical_counterexamples=canonical,
+        validate=validate,
+    )

@@ -1,15 +1,12 @@
-"""Persistent worker pools: generic deterministic process fan-out.
+"""Persistent worker pools: deterministic process fan-out.
 
-Extracted from the parallel completeness oracle (PR 2) so other
-embarrassingly-parallel stages — per-segment learning, future portfolio
-racing — share one battle-tested pool instead of re-implementing
-process lifecycle, stale-reply filtering and crash recovery.
+The pool behind :class:`~repro.learn.segmented.SegmentedLearner`'s
+``jobs > 1`` mode: it owns process lifecycle, stale-reply filtering and
+crash recovery, and runs *batches of indexed items* on long-lived
+worker processes, streaming results back one item at a time:
 
-The pool runs *batches of indexed items* on long-lived worker
-processes and streams results back one item at a time:
-
-* parent → worker: ``("check", generation, [(index, item), ...],
-  deadline | None)`` or ``("stop",)``;
+* parent → worker: ``("run", generation, [(index, item), ...])`` or
+  ``("stop",)``;
 * worker → parent: one ``("one", generation, index, result)`` per item,
   then ``("done", generation, snapshot | None)`` per batch, where
   ``snapshot`` is the worker's metrics delta for the batch when the
@@ -26,21 +23,19 @@ KeyboardInterrupt) with results still in flight.
 
 A pool is built from a picklable *spec* — any object with a
 ``make_runner(worker_index)`` method returning the per-item callable
-``runner(item, deadline) -> (result, stop_after)`` (``stop_after=True``
-ends the batch early, e.g. a truncated outcome).  The spec travels to
-the worker by pickle under any start method; ``"spawn"`` is the
-default.  An optional ``fault`` attribute ``(worker_index,
-results_before_exit)`` on the spec injects a hard crash for tests,
-exactly where a real crash is hardest to handle: after computing a
-result, before sending it.
+``runner(item) -> result``.  The spec travels to the worker by pickle
+under any start method; ``"spawn"`` is the default.  An optional
+``fault`` attribute ``(worker_index, results_before_exit)`` on the spec
+injects a hard crash for tests, exactly where a real crash is hardest
+to handle: after computing a result, before sending it.
 
 Determinism is the caller's contract, not the pool's: the pool
 guarantees only that every dispatched item either yields its worker's
 result or is reported back for retry (``BatchRun.retry``) — never
 silently dropped — and that results are keyed by the caller's indices.
 Callers get bit-for-bit reproducible output by making each item's
-result history-independent (canonical counterexamples, deterministic
-learners) and merging by index.
+result history-independent (deterministic learners) and merging by
+index.
 """
 
 from __future__ import annotations
@@ -55,8 +50,8 @@ from typing import Any, Protocol, runtime_checkable
 
 from . import telemetry
 
-#: Per-item worker callable: (item, deadline) -> (result, stop_after).
-ItemRunner = Callable[[Any, float | None], tuple[Any, bool]]
+#: Per-item worker callable: item -> result.
+ItemRunner = Callable[[Any], Any]
 
 
 @runtime_checkable
@@ -85,18 +80,14 @@ def _pool_worker_main(spec: WorkerSpec, worker_index: int, conn: Connection) -> 
             break
         if message[0] == "stop":
             break
-        _tag, generation, batch, deadline = message
+        _tag, generation, batch = message
         for index, item in batch:
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            result, stop_after = runner(item, deadline)
+            result = runner(item)
             if fault is not None and fault[0] == worker_index:
                 if sent >= fault[1]:
                     os._exit(1)
             conn.send(("one", generation, index, result))
             sent += 1
-            if stop_after:
-                break
         if session is None:
             conn.send(("done", generation, None))
         else:
@@ -237,9 +228,7 @@ class PersistentWorkerPool:
 
     # -- dispatch ------------------------------------------------------
     def run_batches(
-        self,
-        batches: Sequence[Sequence[tuple[int, Any]]],
-        deadline: float | None = None,
+        self, batches: Sequence[Sequence[tuple[int, Any]]]
     ) -> BatchRun:
         """Run one pre-sharded batch per worker slot; stream results.
 
@@ -258,15 +247,13 @@ class PersistentWorkerPool:
             # (Generation tags already guard plain stale messages.)
             self.reset()
         try:
-            return self._run_batches(batches, deadline)
+            return self._run_batches(batches)
         except BaseException:
             self._abandoned = True
             raise
 
     def _run_batches(
-        self,
-        batches: Sequence[Sequence[tuple[int, Any]]],
-        deadline: float | None,
+        self, batches: Sequence[Sequence[tuple[int, Any]]]
     ) -> BatchRun:
         started = time.monotonic()
         run = BatchRun()
@@ -280,7 +267,7 @@ class PersistentWorkerPool:
                 continue
             worker = self.ensure_worker(slot)
             try:
-                worker.conn.send(("check", generation, list(batch), deadline))
+                worker.conn.send(("run", generation, list(batch)))
             except (BrokenPipeError, OSError):
                 run.failures += 1
                 run.retry.update(dict(batch))
@@ -337,7 +324,7 @@ class PersistentWorkerPool:
         session = telemetry.active()
         if session is not None:
             # Slot order, not completion order: float sums are
-            # order-dependent, and this is what makes repeated --jobs N
+            # order-dependent, and this is what makes repeated jobs=N
             # runs report byte-identical fleet totals.
             for slot in sorted(run.snapshots):
                 session.absorb(run.snapshots[slot])

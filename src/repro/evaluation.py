@@ -26,7 +26,7 @@ from .core import telemetry
 from .core.loop import ActiveLearner, ActiveLearningResult
 from .core.metrics import BaselineRow, TableRow
 from .core.conditions import extract_conditions
-from .core.parallel import make_oracle
+from .core.oracle import make_oracle
 from .learn.base import ModelLearner
 from .learn.segmented import SegmentedLearner
 from .learn.t2m import T2MLearner
@@ -78,7 +78,6 @@ def run_active(
     spurious_engine: str = "explicit",
     max_iterations: int = 50,
     guide_with_reachable: bool = True,
-    jobs: int = 1,
     use_session: bool = True,
     validate: bool = True,
     segment_length: int | None = None,
@@ -95,13 +94,11 @@ def run_active(
     meet no spurious counterexample and never hit the strengthening
     cap: each condition is one solve.
 
-    ``jobs > 1`` shards every iteration's condition checks
-    across a persistent worker pool (identical results, lower
-    wall-clock; see :mod:`repro.core.parallel`).  ``use_session``
-    (default) re-learns incrementally across iterations through a
-    learner session; the per-iteration records then carry ``warm_start``
-    flags so Table I's ``%Tm`` can be split into cold vs warm shares
-    (``result.cold_learn_seconds`` / ``result.warm_learn_seconds``).
+    ``use_session`` (default) re-learns incrementally across iterations
+    through a learner session; the per-iteration records then carry
+    ``warm_start`` flags so Table I's ``%Tm`` can be split into cold vs
+    warm shares (``result.cold_learn_seconds`` /
+    ``result.warm_learn_seconds``).
     ``validate`` (default on -- the runners are the untrusted-spec
     boundary) statically analyzes the system and every extracted
     condition before any solver sees them, raising
@@ -112,17 +109,15 @@ def run_active(
     the learner is wrapped in a
     :class:`~repro.learn.segmented.SegmentedLearner` that slices each
     trace into overlapping segments (``segment_overlap`` shared
-    events), learns them independently — on the same ``jobs`` worker
-    count as the oracle — and unifies the per-segment models.  See
-    ``docs/long_traces.md``.
+    events), learns the distinct ones independently and unifies the
+    per-segment models.  To learn the segments on worker processes,
+    pass ``learner=SegmentedLearner(base, length, jobs=N)`` instead.
+    See ``docs/long_traces.md``.
     """
     model_learner = learner or default_learner(benchmark, spec)
     if segment_length is not None:
         model_learner = SegmentedLearner(
-            model_learner,
-            segment_length,
-            segment_overlap,
-            jobs=jobs,
+            model_learner, segment_length, segment_overlap
         )
     traces = random_traces(
         benchmark.system, count=initial_traces, length=trace_length, seed=seed
@@ -135,7 +130,6 @@ def run_active(
         budget_seconds=budget_seconds,
         max_iterations=max_iterations,
         guide_with_reachable=guide_with_reachable and spurious_engine == "explicit",
-        jobs=jobs,
         use_session=use_session,
         validate=validate,
     ) as active:
@@ -186,7 +180,6 @@ def run_random_baseline(
     learner: ModelLearner | None = None,
     spurious_engine: str = "explicit",
     guide_with_reachable: bool = True,
-    jobs: int = 1,
     validate: bool = True,
 ) -> BaselineRunOutput:
     """The §IV-C random-sampling baseline for one FSA.
@@ -205,11 +198,10 @@ def run_random_baseline(
     )
     model_learner = learner or default_learner(benchmark, spec)
     model = model_learner.learn(traces)
-    with make_oracle(
+    oracle = make_oracle(
         benchmark.system,
         spurious_engine,
         benchmark.k,
-        jobs=jobs,
         respect_k=False,
         domain_assumption=(
             reachable_formula(benchmark.system)
@@ -217,8 +209,8 @@ def run_random_baseline(
             else None
         ),
         validate=validate,
-    ) as oracle:
-        report = oracle.check_all(extract_conditions(model))
+    )
+    report = oracle.check_all(extract_conditions(model))
     elapsed = time.monotonic() - start
     row = BaselineRow(
         benchmark=benchmark.name,

@@ -28,8 +28,9 @@ Every interned node carries metadata computed once at intern time:
 Interning is pickle-safe: ``__reduce__`` rebuilds through the
 constructors, so unpickled expressions re-intern into the receiving
 process's table and identity semantics survive process boundaries (the
-sharded parallel oracle depends on this).  ``copy``/``deepcopy`` return
-the node itself for the same reason.  The intern table is append-only
+segmented learner's worker pool ships guard-carrying models back
+through pickle).  ``copy``/``deepcopy`` return the node itself for the
+same reason.  The intern table is append-only
 for the life of the process; see ``docs/expr_core.md`` for the
 lifecycle discussion.
 

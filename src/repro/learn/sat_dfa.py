@@ -165,7 +165,7 @@ def identify_dfa(
     order.  That makes the result a pure function of the word *set*
     (independent of insertion order and of the solver's clause
     history), at the cost of extra assumption solves -- the same
-    trade-off as PR 2's canonical counterexamples.
+    trade-off as the oracle's canonical counterexamples.
     """
     apt = _Apt()
     for word in positive:
@@ -420,8 +420,7 @@ class SatDfaLearner:
         self._max_distinct = max_distinct
         # Canonical identification is what makes the learner a pure
         # function of the trace set; with negatives that is required for
-        # the session contract (same rationale as PR 2 forcing canonical
-        # counterexamples for worker pools).
+        # the session contract.
         self._canonical = canonical or bool(self._negatives)
 
     # ------------------------------------------------------------------

@@ -15,12 +15,12 @@ models.  :class:`SegmentedLearner` is that pipeline:
   eventually-periodic million-event log costs a handful of learner
   calls.
 * **Parallel fan-out** — with ``jobs > 1`` distinct segments are
-  sharded round-robin across the PR 2 persistent worker pool
+  sharded round-robin across a persistent worker pool
   (:mod:`repro.core.pool`).  Each worker returns the segment model
   plus its overlap run windows; the parent splices strictly in segment
   order, so the unified model is bit-for-bit identical for any job
-  count and any completion order.  Workers that die are retried
-  serially under a ``RuntimeWarning``, mirroring the oracle.
+  count and any completion order.  Segments whose worker died are
+  re-learned serially under a ``RuntimeWarning``.
 * **Unification** via :class:`repro.automata.splice.ModelSplicer`
   (overlap-window agreement + learned-name agreement + bisimulation
   minimisation).
@@ -81,8 +81,8 @@ class SegmentLearnSpec:
     telemetry: bool = False
 
     def make_runner(self, worker_index: int) -> ItemRunner:
-        def run(segment: Trace, deadline: float | None):
-            return _learn_segment(self.learner, segment, self.overlap), False
+        def run(segment: Trace) -> SegmentResult:
+            return _learn_segment(self.learner, segment, self.overlap)
 
         return run
 

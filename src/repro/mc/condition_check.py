@@ -130,10 +130,11 @@ class IncrementalConditionChecker:
         The counterexample a CDCL search returns depends on its clause
         database, saved phases and even the (hash-salted) order in which
         the encoder first met the variables -- so it differs between
-        solver histories and between worker processes.  The *minimal*
-        model under a fixed variable order is a pure function of the
-        query, which is what lets a sharded oracle reproduce the serial
-        report bit for bit (see :mod:`repro.core.parallel`).
+        solver histories and between processes.  The *minimal* model
+        under a fixed variable order is a pure function of the query,
+        which is what makes canonical reports a deterministic reference
+        (see the canonical-counterexample section of
+        ``docs/engines.md``).
 
         Order: the system's observables as declared (inputs, then state),
         current frame before primed frame; values ascending.  Each

@@ -108,10 +108,8 @@ def build_spurious_checker(
 ) -> "SpuriousnessChecker | None":
     """Construct a spuriousness checker from an engine *name*.
 
-    The name-based factory is what lets oracle configurations travel as
-    picklable specs (worker processes rebuild their own checker from the
-    name rather than receiving a live object; see
-    :mod:`repro.core.parallel`).  Every stateful engine is shared
+    The name-based factory backs :func:`~repro.core.oracle.make_oracle`
+    and the CLI's ``--engine`` flag.  Every stateful engine is shared
     per-system (``shared_reachability`` / ``shared_kinduction`` /
     ``shared_ic3`` / ``shared_symbolic_reachability``), so repeated
     construction over one system instance reuses the explored tables,

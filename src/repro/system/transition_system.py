@@ -187,8 +187,7 @@ class SymbolicSystem:
         :func:`~repro.expr.compiled.compile_expr` hands back one shared
         compiled function per distinct expression process-wide; the
         per-instance list only pins the (name, fn) pairing.  Stored in
-        ``__dict__`` like the shared analysis engines -- systems are
-        never pickled directly (workers rebuild from ``SystemSpec``).
+        ``__dict__`` like the shared analysis engines.
         """
         cached = self.__dict__.get("_compiled_step_fns")
         if cached is None:

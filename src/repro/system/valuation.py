@@ -51,7 +51,7 @@ class Valuation(Mapping[str, int]):
     def __reduce__(self):
         # Rebuild through __init__ so _hash is recomputed under the
         # *receiving* interpreter's string-hash seed: a hash cached by the
-        # sending process (e.g. an oracle worker under spawn) is wrong
+        # sending process (e.g. a pool worker under spawn) is wrong
         # here, and a stale one silently breaks set/dict deduplication.
         return (Valuation, (dict(self._items),))
 

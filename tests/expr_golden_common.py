@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.core.conditions import extract_conditions
 from repro.core.loop import ActiveLearner
-from repro.core.parallel import make_oracle
+from repro.core.oracle import make_oracle
 from repro.evaluation import default_learner
 from repro.expr import sexpr_dumps
 from repro.traces.generate import random_traces
@@ -37,16 +37,10 @@ LEARN_SEED = 7
 MAX_STRENGTHENINGS = 3
 
 #: Systems given a full active-learning loop golden (small state spaces,
-#: quick convergence) and systems re-checked through the jobs=2 pool.
+#: quick convergence).
 LOOP_SYSTEMS = (
     "ModelingALaunchAbortSystem",
     "HomeClimateControlUsingTheTruthtableBlock",
-)
-PARALLEL_SYSTEMS = (
-    "ModelingALaunchAbortSystem",
-    "HomeClimateControlUsingTheTruthtableBlock",
-    "ModelingASecuritySystem",
-    "CountEvents",
 )
 LOOP_MAX_ITERATIONS = 8
 LOOP_TRACES = 10
@@ -129,12 +123,10 @@ def serial_report(benchmark, engine, conditions):
         benchmark.system,
         engine,
         benchmark.k,
-        jobs=1,
         max_strengthenings=MAX_STRENGTHENINGS,
         canonical=True,
     )
-    with oracle:
-        return oracle.check_all(conditions)
+    return oracle.check_all(conditions)
 
 
 def loop_result(benchmark):

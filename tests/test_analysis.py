@@ -39,7 +39,6 @@ from repro.analysis import (
 from repro.cli import main
 from repro.core.conditions import Condition, ConditionKind
 from repro.core.oracle import CompletenessOracle
-from repro.core.parallel import OracleSpec
 from repro.expr.ast import (
     TRUE,
     Add,
@@ -52,7 +51,7 @@ from repro.expr.ast import (
     lt,
     minimum,
 )
-from repro.expr.types import BOOL, EnumSort, IntSort
+from repro.expr.types import BOOL, IntSort
 from repro.stateflow.benchmark import FsaSpec, make_benchmark
 from repro.stateflow.chart import Chart
 from repro.stateflow.library import benchmark_names, get_benchmark
@@ -403,9 +402,6 @@ class TestValidationBoundaries:
         oracle = CompletenessOracle(system, None, k=1, validate=True)
         good = Condition(ConditionKind.INIT, 0, "q0", None, TRUE)
         assert oracle.check(good).holds
-
-    def test_oracle_spec_carries_validate_flag(self):
-        assert OracleSpec.__dataclass_fields__["validate"].default is False
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,11 @@ class TestParser:
         assert args.benchmarks == ["CountEvents"]
         assert args.budget == 5.0
 
+    @pytest.mark.parametrize("command", ["run", "baseline", "table1"])
+    def test_no_jobs_option(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "CountEvents", "--jobs", "2"])
+
     def test_engine_choices(self):
         args = build_parser().parse_args(["run", "CountEvents"])
         assert args.engine == "explicit"
@@ -63,9 +68,26 @@ class TestCommands:
         content = dot_path.read_text()
         assert content.startswith("digraph")
 
-    def test_run_unknown_benchmark(self):
-        with pytest.raises(KeyError):
-            main(["run", "NoSuchBenchmark"])
+    def test_run_unknown_benchmark(self, capsys):
+        assert main(["run", "NoSuchBenchmark"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown benchmark 'NoSuchBenchmark'" in err
+
+    def test_run_unknown_fsa(self, capsys):
+        assert main(["run", "Superstep", "--fsa", "Nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "Superstep has no FSA 'Nope'" in err
+        assert "WithoutSuperStep" in err
+
+    @pytest.mark.parametrize("command", ["table1", "analyze"])
+    def test_unknown_benchmark_other_commands(self, command, capsys):
+        assert main([command, "NoSuch"]) == 2
+        assert capsys.readouterr().err == (
+            f"repro {command}: unknown benchmark 'NoSuch' "
+            "(`repro list` shows the names)\n"
+        )
 
     def test_run_specific_fsa(self, capsys):
         code = main(

@@ -11,9 +11,9 @@ tree and demands bit-for-bit equality:
 * the canonical oracle report -- every outcome field and α -- per
   system for each of the three engines {explicit, kinduction, ic3},
 * two full active-learning loops (per-iteration α/N and final model),
-* jobs=2 parallel oracle reports for a subset of systems, which round
-  conditions and outcomes through pickle and therefore exercise the
-  ``__reduce__`` → re-intern path end to end.
+* explicit reports for a subset of systems whose conditions and
+  outcomes round-trip through pickle, as the segment workers' models
+  do, which exercises the ``__reduce__`` → re-intern path end to end.
 
 All reference reports use canonical counterexamples, making every
 outcome a pure function of its condition -- the property that lets a
@@ -22,14 +22,13 @@ golden file pin behaviour across processes, hash seeds and refactors.
 
 import json
 import pathlib
+import pickle
 
 import pytest
 
 from expr_golden_common import (
     ENGINES,
     LOOP_SYSTEMS,
-    MAX_STRENGTHENINGS,
-    PARALLEL_SYSTEMS,
     conditions_to_json,
     learn_model_and_conditions,
     loop_result,
@@ -39,13 +38,21 @@ from expr_golden_common import (
     serial_report,
 )
 
-from repro.core.parallel import ParallelCompletenessOracle
 from repro.stateflow.library import benchmark_names, get_benchmark
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "golden" / "expr_core_golden.json"
 )
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+#: Systems whose conditions and report are also round-tripped through
+#: pickle.
+PICKLE_SYSTEMS = (
+    "ModelingALaunchAbortSystem",
+    "HomeClimateControlUsingTheTruthtableBlock",
+    "ModelingASecuritySystem",
+    "CountEvents",
+)
 
 
 def _assert_reports_equal(actual: dict, expected: dict, context: str):
@@ -82,30 +89,28 @@ def test_active_loop_matches_prerefactor(name):
     assert loop_to_json(result) == GOLDEN["loops"][name]
 
 
-@pytest.mark.parametrize("name", PARALLEL_SYSTEMS)
-def test_parallel_oracle_matches_prerefactor_golden(name):
-    """jobs=2 reports equal the pre-refactor serial golden bit for bit.
+@pytest.mark.parametrize("name", PICKLE_SYSTEMS)
+def test_pickled_conditions_match_prerefactor_golden(name):
+    """Unpickled conditions re-intern and check to the golden report.
 
-    Conditions travel to the workers (and outcomes back) through
-    pickle, so equality here proves unpickled expressions re-intern to
-    the canonical nodes: a duplicate would change ``final_assumption``
-    identity, predicate dedup, or the dataclass equality of outcomes.
+    Pickle rebuilds every expression through its interning constructor,
+    so each unpickled expression must be the very node it was pickled
+    from: a duplicate would change ``final_assumption`` identity,
+    predicate dedup, or the dataclass equality of outcomes.
     """
     benchmark = get_benchmark(name)
     golden = GOLDEN["systems"][name]
     _model, conditions = learn_model_and_conditions(benchmark)
-    # fork for pool start-up speed; the message path (pickle both ways)
-    # is identical under fork and spawn, and spawn re-interning is
-    # covered by test_parallel_stress's spawn-safety tests.
-    with ParallelCompletenessOracle(
-        benchmark.system,
-        "explicit",
-        benchmark.k,
-        jobs=2,
-        max_strengthenings=MAX_STRENGTHENINGS,
-        start_method="fork",
-    ) as oracle:
-        report = oracle.check_all(conditions)
+    restored = pickle.loads(pickle.dumps(conditions))
+    for before, after in zip(conditions, restored, strict=True):
+        assert after == before
+        assert after.assumption is before.assumption
+        assert after.conclusion is before.conclusion
+    report = serial_report(benchmark, "explicit", restored)
+    returned = pickle.loads(pickle.dumps(report))
+    assert returned.outcomes == report.outcomes
+    for before, after in zip(report.outcomes, returned.outcomes, strict=True):
+        assert after.final_assumption is before.final_assumption
     _assert_reports_equal(
-        report_to_json(report), golden["reports"]["explicit"], "jobs=2"
+        report_to_json(returned), golden["reports"]["explicit"], "pickled"
     )

@@ -10,7 +10,6 @@ from repro.expr import (
     TRUE,
     Var,
     enum_sort,
-    eq,
     evaluate,
     guard_str,
     holds,

@@ -11,7 +11,7 @@ switch, and the oracle's proof-driven strengthening path.
 import pytest
 
 from repro.core.conditions import Condition, ConditionKind
-from repro.core.parallel import make_oracle
+from repro.core.oracle import make_oracle
 from repro.expr import TRUE, land, lnot
 from repro.expr.eval import holds
 from repro.expr.subst import to_primed
@@ -254,13 +254,12 @@ class TestOracleStrengthening:
         system = bench.system
         conditions = self._churny_conditions(system)
         ic3_oracle = make_oracle(
-            system, "ic3", bench.k, jobs=1, max_strengthenings=50
+            system, "ic3", bench.k, max_strengthenings=50
         )
         blind = make_oracle(
             system,
             "explicit",
             bench.k,
-            jobs=1,
             respect_k=False,
             max_strengthenings=50,
         )
@@ -278,10 +277,10 @@ class TestOracleStrengthening:
     def test_canonical_mode_stays_blind_and_deterministic(self, two_phase):
         conditions = self._churny_conditions(two_phase)
         reference = make_oracle(
-            two_phase, "explicit", 5, jobs=1, canonical=True, respect_k=False
+            two_phase, "explicit", 5, canonical=True, respect_k=False
         ).check_all(conditions)
         ic3_canonical = make_oracle(
-            two_phase, "ic3", 5, jobs=1, canonical=True
+            two_phase, "ic3", 5, canonical=True
         ).check_all(conditions)
         # Canonical ic3 reports are bit-for-bit the canonical explicit
         # (respect_k=False) reports: same verdicts, same canonical

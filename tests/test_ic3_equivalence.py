@@ -15,21 +15,18 @@ convergence).  Verdict
 sources share one engine per system (``shared_ic3``), so the suite also
 exercises cross-query frame reuse on every library system.
 
-The parallel section routes full oracle reports through the ``"ic3"``
-engine at ``jobs=2``: worker processes rebuild their own engines from
-the picklable spec, and the merged report must be bit-for-bit the
-canonical serial one -- which in turn is bit-for-bit the canonical
-explicit (``respect_k=False``) report, since both engines are exact and
+The oracle section routes full canonical reports through the ``"ic3"``
+engine: they must be bit-for-bit the canonical explicit
+(``respect_k=False``) reports, since both engines are exact and
 canonical outcomes are pure functions of the condition.
 """
 
 import itertools
-import multiprocessing
 
 import pytest
 
 from repro.core.conditions import Condition, ConditionKind
-from repro.core.parallel import ParallelCompletenessOracle, make_oracle
+from repro.core.oracle import make_oracle
 from repro.expr import TRUE, lnot, sort_values
 from repro.mc import build_spurious_checker, shared_ic3, shared_reachability
 from repro.mc.verdicts import SpuriousVerdict
@@ -115,44 +112,25 @@ def _condition_workload(system):
     return conditions
 
 
-_START_METHOD = (
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-)
-
-
 @pytest.mark.parametrize(
     "name", ["ModelingALaunchAbortSystem", "MooreTrafficLight"]
 )
-def test_ic3_under_parallel_oracle_jobs2(name):
+def test_ic3_canonical_report_matches_explicit(name):
     bench = get_benchmark(name)
     system = bench.system
     conditions = _condition_workload(system)
     assert len(conditions) >= 4
-    serial = make_oracle(
-        system, "ic3", bench.k, jobs=1, canonical=True, max_strengthenings=10
-    )
-    explicit = make_oracle(
+    ic3_report = make_oracle(
+        system, "ic3", bench.k, canonical=True, max_strengthenings=10
+    ).check_all(conditions)
+    explicit_report = make_oracle(
         system,
         "explicit",
         bench.k,
-        jobs=1,
         canonical=True,
         respect_k=False,
         max_strengthenings=10,
-    )
-    serial_report = serial.check_all(conditions)
-    explicit_report = explicit.check_all(conditions)
-    assert serial_report.outcomes == explicit_report.outcomes
-    with ParallelCompletenessOracle(
-        system,
-        "ic3",
-        bench.k,
-        jobs=2,
-        max_strengthenings=10,
-        start_method=_START_METHOD,
-    ) as parallel:
-        parallel_report = parallel.check_all(conditions)
-        assert parallel.worker_failures == 0
-    assert parallel_report.outcomes == serial_report.outcomes
-    assert parallel_report.alpha == serial_report.alpha
-    assert parallel_report.truncated == serial_report.truncated
+    ).check_all(conditions)
+    assert ic3_report.outcomes == explicit_report.outcomes
+    assert ic3_report.alpha == explicit_report.alpha
+    assert ic3_report.truncated == explicit_report.truncated

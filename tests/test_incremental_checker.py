@@ -11,7 +11,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.expr import FALSE, TRUE, Var, eq, holds, int_sort, land, lnot, lor
+from repro.expr import FALSE, TRUE, Var, holds, int_sort, land, lnot, lor
 from repro.mc import check_condition, reachable_formula, shared_reachability
 from repro.mc.condition_check import IncrementalConditionChecker
 from repro.smt.encoder import Encoder

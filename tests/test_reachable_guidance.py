@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.conditions import extract_conditions
-from repro.core.parallel import make_oracle
+from repro.core.oracle import make_oracle
 from repro.evaluation import default_learner, run_active
 from repro.expr import eq, land, lor
 from repro.mc import reachable_formula, shared_reachability
@@ -45,14 +45,14 @@ def learned_conditions(bench, spec):
 
 
 def oracle_report(bench, conditions, domain, canonical):
-    with make_oracle(
+    oracle = make_oracle(
         bench.system,
         "explicit",
         bench.k,
         domain_assumption=domain,
         canonical=canonical,
-    ) as oracle:
-        return oracle.check_all(conditions)
+    )
+    return oracle.check_all(conditions)
 
 
 def canonical_fields(report):

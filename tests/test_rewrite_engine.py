@@ -53,7 +53,6 @@ from repro.expr.rewrite import (
     flatten_term,
     match_pattern,
     p_eq,
-    p_lt,
     p_not,
     pattern_height,
 )

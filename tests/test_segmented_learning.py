@@ -18,8 +18,8 @@ the precision-losing configurations too: default T2M with guard
 synthesis, k-tails, and the positive-only SAT-DFA learner.
 
 The worker-pool tests use the ``fork`` start method purely for start-up
-speed, like ``test_parallel_equivalence.py``; spawn-safety of the
-shared pool machinery is covered by ``test_parallel_stress.py``.
+speed; spawn-safety and the failure modes of the pool machinery are
+covered by ``test_worker_pool.py``.
 """
 
 import random

@@ -14,7 +14,6 @@ from repro.expr import (
     deep_simplify,
     enum_sort,
     eq,
-    evaluate,
     holds,
     int_sort,
     ite,

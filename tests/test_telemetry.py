@@ -11,7 +11,8 @@ Four acceptance surfaces from the observability PR:
   exported deterministic view is identical across ``PYTHONHASHSEED``
   values;
 * telemetry is behaviour-invariant — learned models, oracle reports and
-  α are identical with telemetry on and off, serially and with jobs=2 —
+  α are identical with telemetry on and off, serially and with jobs=2
+  segment-learning workers —
   and the export round-trips through both :func:`read_events` and the
   repo's own streaming trace reader (:func:`repro.traces.io.iter_jsonl`).
 """
@@ -31,7 +32,7 @@ import pytest
 from repro.cli import main
 from repro.core import telemetry
 from repro.core.conditions import extract_conditions
-from repro.core.parallel import make_oracle
+from repro.core.oracle import make_oracle
 from repro.core.telemetry import (
     NOOP_SPAN,
     MetricsRegistry,
@@ -325,7 +326,7 @@ class TestAggregationDeterminism:
     def test_hash_seed_invariance(self):
         """The exported deterministic view is byte-identical across
         interpreter hash seeds (synthetic snapshots: real solver counters
-        are hash-seed dependent by design, see docs/parallel_oracle.md)."""
+        are hash-seed dependent by design, see docs/engines.md)."""
         outputs = []
         for seed in ("0", "31337"):
             env = dict(os.environ)
@@ -402,10 +403,20 @@ for line in out.getvalue().splitlines():
 
 
 def _run_fingerprint(jobs: int):
+    """jobs > 1 runs through the segmented learner's worker pool."""
+    from repro.learn import SegmentedLearner
+
     benchmark = get_benchmark("MealyVendingMachine")
+    spec = benchmark.fsas[0]
+    learner = None
+    if jobs > 1:
+        learner = SegmentedLearner(
+            default_learner(benchmark, spec), 5, jobs=jobs,
+            start_method="fork",
+        )
     out = run_active(
-        benchmark, benchmark.fsas[0], initial_traces=5, trace_length=10,
-        seed=3, budget_seconds=30, jobs=jobs,
+        benchmark, spec, initial_traces=5, trace_length=10,
+        seed=3, budget_seconds=30, learner=learner,
     )
     records = [
         (r.index, r.num_states, r.num_transitions, r.conditions,
@@ -440,8 +451,7 @@ class TestBehaviourInvariance:
         conditions = extract_conditions(model)
 
         def report():
-            with make_oracle(cooler, "explicit", 10) as oracle:
-                return oracle.check_all(list(conditions))
+            return make_oracle(cooler, "explicit", 10).check_all(list(conditions))
 
         plain = report()
         telemetry.start("test")
@@ -468,14 +478,13 @@ class TestCapHits:
         def counters(domain):
             session = telemetry.start("test")
             try:
-                with make_oracle(
+                make_oracle(
                     bench.system,
                     "explicit",
                     bench.k,
                     max_strengthenings=2,
                     domain_assumption=domain,
-                ) as oracle:
-                    oracle.check_all(conditions)
+                ).check_all(conditions)
                 return session.metrics.snapshot()["counters"]
             finally:
                 telemetry.stop()
@@ -648,17 +657,28 @@ class TestCliAndTableAgreement:
         text = render_profile(events)
         assert f"{expected_tm:.1f}%" in text
 
-    def test_jobs_snapshot_merged_into_export(self, tmp_path):
-        """--jobs 2 --telemetry exports a fleet snapshot with worker
-        counters merged in."""
-        path = tmp_path / "jobs.telemetry.jsonl"
-        code = main([
-            "run", "MealyVendingMachine", "--traces", "5", "--length", "10",
-            "--budget", "30", "--jobs", "2", "--telemetry", str(path),
-        ])
-        assert code == 0
-        with open(path) as handle:
-            events = read_events(handle)
+    def test_jobs_snapshot_merged_into_export(self):
+        """A run_active whose segments are learned on two workers
+        exports a fleet snapshot with their counters merged in."""
+        from repro.learn import SegmentedLearner
+
+        benchmark = get_benchmark("MealyVendingMachine")
+        spec = benchmark.fsas[0]
+        session = telemetry.start("run")
+        try:
+            run_active(
+                benchmark, spec, initial_traces=5, trace_length=10,
+                budget_seconds=30,
+                learner=SegmentedLearner(
+                    default_learner(benchmark, spec), 5, jobs=2,
+                    start_method="fork",
+                ),
+            )
+        finally:
+            telemetry.stop()
+        buffer = io.StringIO()
+        export_jsonl(session, buffer)
+        events = read_events(buffer.getvalue().splitlines())
         snap = events[-1]
         assert snap["event"] == "snapshot"
         assert snap["workers"] > 0
