@@ -9,11 +9,23 @@ scales via environment variables:
 ``REPRO_TRACE_LEN``     initial trace length (paper: 50)    default 30
 ``REPRO_BUDGET``        per-run budget seconds (paper: 10h) default 90
 ``REPRO_BASELINE_OBS``  baseline observations (paper: 1M)   default 5000
+
+Records are written only on request:
+
+``REPRO_BENCH_WRITE``   1 = rewrite the ``BENCH_*.json`` records  default unset
+
+The ``BENCH_*.json`` files at the repository root are deliberate,
+tracked records, so a plain test run measures and asserts everything
+without rewriting them; the CI benchmark job sets the variable and
+uploads what the run wrote.  Benchmarks store records through the
+:func:`bench_record` fixture.
 """
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +41,32 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if str(item.fspath).startswith(_BENCH_DIR):
             item.add_marker(pytest.mark.slow)
+
+
+@pytest.fixture
+def bench_record():
+    """``write(path, record, merge=False)``: store a benchmark record,
+    only when ``REPRO_BENCH_WRITE=1``.
+
+    A dict is written as indented JSON; with ``merge=True`` it updates
+    the file's existing top-level keys instead of replacing the file, so
+    tests sharing one record stay runnable one at a time.  A str is
+    written verbatim.
+    """
+    enabled = os.environ.get("REPRO_BENCH_WRITE") == "1"
+
+    def write(path: Path, record: dict | str, merge: bool = False) -> None:
+        if not enabled:
+            print(f"{path.name} not written (REPRO_BENCH_WRITE=1 records it)")
+            return
+        if isinstance(record, str):
+            path.write_text(record)
+            return
+        if merge and path.exists():
+            record = {**json.loads(path.read_text()), **record}
+        path.write_text(json.dumps(record, indent=2) + "\n")
+
+    return write
 
 
 TRACES = int(os.environ.get("REPRO_TRACES", "30"))

@@ -102,7 +102,7 @@ def _isolated_timings() -> dict[str, dict[str, float]]:
     return json.loads(out.stdout)
 
 
-def test_bdd_image_benchmark():
+def test_bdd_image_benchmark(bench_record):
     systems = {}
     totals = {name: 0.0 for name in CONFIGS}
     timings = _isolated_timings()
@@ -167,13 +167,12 @@ def test_bdd_image_benchmark():
             for name, row in systems.items()
         },
     }
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    bench_record(RESULT_PATH, record)
     reductions = ", ".join(
         f"{name.removeprefix('Modeling')} {pct:.0%}"
         for name, pct in record["peak_node_reduction"].items()
     )
     print(
         f"\nBDD image: {len(BENCHES)} systems | peak-node reduction "
-        f"{reductions} | partitioned speedup {speedup:.2f}x | "
-        f"recorded in {RESULT_PATH.name}"
+        f"{reductions} | partitioned speedup {speedup:.2f}x"
     )

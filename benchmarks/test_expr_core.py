@@ -24,9 +24,9 @@ Run:  pytest benchmarks/test_expr_core.py -s
 
 from __future__ import annotations
 
-import json
 import random
 import time
+from pathlib import Path
 
 from repro.core.conditions import extract_conditions
 from repro.evaluation import default_learner
@@ -40,6 +40,8 @@ TRACE_LENGTH = 50
 EVAL_REPEATS = 3
 EXTRACT_REPEATS = 25
 MIN_SPEEDUP = 1.5
+
+RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_expr_core.json"
 
 
 def _record_step_envs(system) -> list[dict[str, int]]:
@@ -65,7 +67,7 @@ def _record_step_envs(system) -> list[dict[str, int]]:
     return envs
 
 
-def test_compiled_eval_beats_tree_walk_by_1_5x():
+def test_compiled_eval_beats_tree_walk_by_1_5x(bench_record):
     system = get_benchmark(BENCH).system
     envs = _record_step_envs(system)
     exprs = [expr for _var, expr in sorted(
@@ -124,9 +126,7 @@ def test_compiled_eval_beats_tree_walk_by_1_5x():
             cold_extract_seconds / max(warm_extract_seconds, 1e-9), 3
         ),
     }
-    with open("BENCH_expr_core.json", "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    bench_record(RESULT_PATH, record)
     print(f"\ncompiled eval speedup: {speedup:.2f}x "
           f"(tree-walk {tree_walk_seconds:.3f}s, compiled {compiled_seconds:.3f}s); "
           f"condition extraction cold {cold_extract_seconds*1e3:.2f}ms, "

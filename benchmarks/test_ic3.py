@@ -30,7 +30,6 @@ Run:  pytest benchmarks/test_ic3.py -s
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from pathlib import Path
 
@@ -96,7 +95,7 @@ def _condition_workload(system):
     return conditions
 
 
-def test_ic3_engine_benchmark():
+def test_ic3_engine_benchmark(bench_record):
     benchmark = get_benchmark(BENCH)
     system = benchmark.system
     reach = shared_reachability(system)
@@ -192,10 +191,10 @@ def test_ic3_engine_benchmark():
             "invariant_proved": out.result.proved_invariant is not None,
         },
     }
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    bench_record(RESULT_PATH, record)
     print(
         f"\n{BENCH}: classify {len(batch)} states | "
         + ", ".join(f"{k} {v:.3f}s" for k, v in engines.items())
         + f" | strengthening rounds blind {blind_report.total_spurious} "
-        f"vs ic3 {ic3_report.total_spurious} | recorded in {RESULT_PATH.name}"
+        f"vs ic3 {ic3_report.total_spurious}"
     )

@@ -23,7 +23,6 @@ Run:  pytest benchmarks/test_incremental_learning.py -s
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -76,7 +75,7 @@ def _workload(system):
     return initial, deltas
 
 
-def test_warm_session_relearning_speedup():
+def test_warm_session_relearning_speedup(bench_record):
     system = get_benchmark(BENCH).system
     initial, deltas = _workload(system)
     # Accumulated snapshots the fresh path learns from, built up front so
@@ -131,8 +130,7 @@ def test_warm_session_relearning_speedup():
             f"{session_seconds:.3f}s, speedup {speedup:.2f}x"
         )
 
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"recorded in {RESULT_PATH.name}")
+    bench_record(RESULT_PATH, record)
     # Single-process warm-start win: safe to assert even on 1-CPU CI.
     assert speedups["satdfa"] >= 2.0, (
         f"warm SAT-DFA session only {speedups['satdfa']:.2f}x faster "

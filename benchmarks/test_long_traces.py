@@ -34,7 +34,6 @@ Run with ``pytest benchmarks/test_long_traces.py -s`` to see figures.
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import os
@@ -63,17 +62,19 @@ MONO_BUDGET = float(os.environ.get("REPRO_MONO_BUDGET", "60"))
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_long_traces.json"
 
 
-def _record(section: str, payload: dict) -> None:
+def _record(bench_record, section: str, payload: dict) -> None:
     """Merge one section into the shared record (tests stay runnable
     individually; a full run refreshes every section)."""
-    record: dict = {}
-    if RESULT_PATH.exists():
-        record = json.loads(RESULT_PATH.read_text())
-    record["benchmark"] = BENCH
-    record["segment_length"] = SEGMENT_LENGTH
-    record["overlap"] = OVERLAP
-    record[section] = payload
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    bench_record(
+        RESULT_PATH,
+        {
+            "benchmark": BENCH,
+            "segment_length": SEGMENT_LENGTH,
+            "overlap": OVERLAP,
+            section: payload,
+        },
+        merge=True,
+    )
 
 
 def _system():
@@ -137,7 +138,7 @@ def _monolithic_worker(conn, n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_monolithic_blowup_curve():
+def test_monolithic_blowup_curve(bench_record):
     """The monolithic learner scales super-linearly in trace length."""
     points = []
     for n in BLOWUP_SIZES:
@@ -149,6 +150,7 @@ def test_monolithic_blowup_curve():
         math.log(last["events"] / first["events"])
     )
     _record(
+        bench_record,
         "monolithic_blowup",
         {"points": points, "scaling_exponent": round(exponent, 2)},
     )
@@ -163,7 +165,7 @@ def test_monolithic_blowup_curve():
     )
 
 
-def test_segmented_speedup_at_1e5_events():
+def test_segmented_speedup_at_1e5_events(bench_record):
     """Segmented learning beats monolithic >= 5x at 10^5 events.
 
     The monolithic side runs in a subprocess under ``MONO_BUDGET``
@@ -199,6 +201,7 @@ def test_segmented_speedup_at_1e5_events():
 
     speedup = monolithic_seconds / max(segmented_seconds, 1e-9)
     _record(
+        bench_record,
         "speedup_1e5",
         {
             "events": n,
@@ -230,7 +233,7 @@ def test_segmented_speedup_at_1e5_events():
     )
 
 
-def test_million_event_learn_bounded_memory():
+def test_million_event_learn_bounded_memory(bench_record):
     """A 10^6-event stream learns end to end in megabytes of memory.
 
     The yardstick is measured, not guessed: merely materialising a 10x
@@ -260,6 +263,7 @@ def test_million_event_learn_bounded_memory():
     peak_mib = peak / 2**20
     materialise_mib = materialise_peak / 2**20
     _record(
+        bench_record,
         "million_events",
         {
             "events": LONG_EVENTS,

@@ -17,7 +17,8 @@ use) and recorded in ``BENCH_observability.json`` at the repo root:
 * **Enabled-mode overhead and event counts (recorded).**  The enabled
   run's wall time, its exported event count, and the metric cardinality
   land in the record, and the export itself is written next to the
-  record as ``observability.telemetry.jsonl`` — the CI benchmark job
+  record as ``observability.telemetry.jsonl`` (both only with
+  ``REPRO_BENCH_WRITE=1``, see ``conftest.py``) — the CI benchmark job
   uploads ``*.telemetry.jsonl`` alongside ``BENCH_*.json``, so a
   regression in these numbers can be profiled straight from the
   artifact (``repro profile observability.telemetry.jsonl``).
@@ -27,7 +28,7 @@ Run:  pytest benchmarks/test_observability.py -s
 
 from __future__ import annotations
 
-import json
+import io
 from pathlib import Path
 from time import perf_counter
 
@@ -123,7 +124,7 @@ def _disabled_op_cost() -> dict[str, float]:
     return {"span": span_cost, "check": check_cost}
 
 
-def test_telemetry_overhead():
+def test_telemetry_overhead(bench_record):
     telemetry.stop()
 
     # Warm-up (library/caches), then the measured disabled runs.
@@ -135,9 +136,9 @@ def test_telemetry_overhead():
     enabled, registry_calls = _count_registry_calls()
     out = enabled["out"]
 
-    # Export next to the record for the CI artifact upload.
-    with open(TELEMETRY_PATH, "w") as handle:
-        events = telemetry.export_jsonl(enabled["session"], handle)
+    # Exported next to the record for the CI artifact upload.
+    log = io.StringIO()
+    events = telemetry.export_jsonl(enabled["session"], log)
 
     # Disabled-cost bound: every registry call site is guarded by one
     # None-check (so a disabled run pays `check` there, not the call),
@@ -183,7 +184,8 @@ def test_telemetry_overhead():
         },
         "telemetry_log": TELEMETRY_PATH.name,
     }
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    bench_record(RESULT_PATH, record)
+    bench_record(TELEMETRY_PATH, log.getvalue())
     print(
         f"\n{BENCH}: disabled {disabled_seconds:.3f}s "
         f"({enabled['spans']} spans + {registry_calls} guards "
@@ -191,7 +193,6 @@ def test_telemetry_overhead():
         f"enabled {enabled['enabled_seconds']:.3f}s, "
         f"{events} events exported"
     )
-    print(f"recorded in {RESULT_PATH.name} + {TELEMETRY_PATH.name}")
 
     # The acceptance bound: instrumentation left disabled costs the
     # workload less than 5% of its wall time.

@@ -38,7 +38,6 @@ Run:  pytest benchmarks/test_simplify.py -s
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -118,7 +117,7 @@ def _time_matching(engine, nodes, repeats, *, sequential):
     return best
 
 
-def test_net_beats_sequential_matching_at_100_rules():
+def test_net_beats_sequential_matching_at_100_rules(bench_record):
     rules = list(EXTENDED_RULES) + make_const_comparison_rules(CONST_FAMILY)
     assert len(rules) >= MIN_RULES
     engine = RewriteEngine(rules, name="bench", context=None)
@@ -157,11 +156,7 @@ def test_net_beats_sequential_matching_at_100_rules():
         "sequential_seconds": round(sequential_seconds, 4),
         "net_speedup": round(speedup, 3),
     }
-    existing = (
-        json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    )
-    existing.update(record)
-    RESULT_PATH.write_text(json.dumps(existing, indent=2) + "\n")
+    bench_record(RESULT_PATH, record, merge=True)
     print(
         f"\nnet matching: {len(rules)} rules over {len(nodes)} nodes x "
         f"{repeats} | net {net_seconds:.3f}s, sequential "
@@ -216,7 +211,7 @@ def _peak_nodes(system, presimplify):
     )
 
 
-def test_new_rules_improve_downstream_encodings():
+def test_new_rules_improve_downstream_encodings(bench_record):
     systems = {}
     improved = []
     for name in BENCHES:
@@ -254,11 +249,7 @@ def test_new_rules_improve_downstream_encodings():
         "downstream_systems": systems,
         "downstream_improved": sorted(improved),
     }
-    existing = (
-        json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
-    )
-    existing.update(record)
-    RESULT_PATH.write_text(json.dumps(existing, indent=2) + "\n")
+    bench_record(RESULT_PATH, record, merge=True)
     deltas = ", ".join(
         f"{name.removeprefix('Modeling')} "
         f"clauses {row['tseitin_clauses']['legacy']}"

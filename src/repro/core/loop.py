@@ -246,8 +246,9 @@ class ActiveLearner:
         All reported timings (``T``, learn/check splits, hence ``%Tm``
         and the cold/warm decomposition) are derived from telemetry
         spans: the run is wrapped in a ``loop.run`` span with one
-        ``loop.iteration`` → ``loop.learn``/``loop.check`` subtree per
-        round.  With telemetry enabled the spans land on the active
+        ``loop.learn`` and one ``loop.check`` child per round, plus a
+        ``refine.splice`` child on rounds that splice counterexamples.
+        With telemetry enabled the spans land on the active
         session (and in the ``--telemetry`` export); disabled, a
         throwaway local :class:`~repro.core.telemetry.Tracer` provides
         identical timing at identical cost, so enabling telemetry never
@@ -325,9 +326,13 @@ class ActiveLearner:
             duplicates_skipped = 0
             delta = ()
             if report.violations and not report.truncated:
-                augmented = augment_traces(traces, report.violations)
+                with tracer.span("refine.splice", iteration=index) as splice_span:
+                    augmented = augment_traces(traces, report.violations)
                 new_traces = augmented.num_added
                 duplicates_skipped = augmented.duplicates_skipped
+                splice_span.set(
+                    new_traces=new_traces, duplicates=duplicates_skipped
+                )
                 delta = tuple(augmented.added)
 
             records.append(

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..expr.ast import Expr
-from ..expr.eval import holds
-from ..system.valuation import Valuation
+from ..expr.compiled import compile_expr
+from ..system.valuation import Valuation, first_satisfying
 from ..traces.trace import Trace, TraceSet
 from .conditions import ConditionKind
 from .oracle import ConditionOutcome
@@ -29,20 +29,21 @@ def splice_counterexample(
     counterexample: tuple[Valuation, Valuation],
 ) -> list[Trace]:
     """The σ_CE construction for a condition-(2) counterexample."""
+    if not assumption.sort.is_bool():
+        raise TypeError(
+            f"splicing needs a Boolean assumption, got {assumption.sort}"
+        )
+    # Compiled once per violation, called on every scanned observation.
+    satisfies_r = compile_expr(assumption)
     v_t, v_t1 = counterexample
     new_traces: list[Trace] = []
     seen: set[Trace] = set()
     for trace in traces:
-        prefix_end = None
-        for index, observation in enumerate(trace):
-            if holds(assumption, observation):
-                prefix_end = index
-                break
-        if prefix_end is None:
+        observations = trace.observations
+        index = first_satisfying(observations, satisfies_r)
+        if index is None:
             continue
-        spliced = Trace(
-            tuple(trace.observations[:prefix_end]) + (v_t, v_t1)
-        )
+        spliced = Trace(observations[:index] + (v_t, v_t1))
         if spliced not in seen:
             seen.add(spliced)
             new_traces.append(spliced)

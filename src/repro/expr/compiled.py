@@ -10,8 +10,8 @@ result is memoised by node identity -- hash-consing guarantees each
 distinct predicate is compiled exactly once per process -- which is what
 makes compiled evaluation profitable for the hot consumers: the concrete
 simulator (:meth:`repro.system.SymbolicSystem.step`), trace generation,
-the explicit-state engine's BFS, guard evaluation during NFA runs and
-predicate synthesis.
+the explicit-state engine's BFS, guard evaluation during NFA runs,
+predicate synthesis and counterexample splicing.
 
 Semantics notes
 ---------------

@@ -11,9 +11,9 @@ disagree about the system's semantics.
 paths use :func:`repro.expr.compiled.compile_expr`, which flattens an
 expression into one compiled Python function with identical semantics
 (differentially tested).  :func:`holds` -- the Boolean entry point used
-by guard evaluation, predicate synthesis and counterexample splicing --
-goes through the compiled evaluator, so repeated queries against the
-same (interned) predicate pay no interpretation cost.
+by guard evaluation during NFA runs and chart simulation -- goes
+through the compiled evaluator, so repeated queries against the same
+(interned) predicate pay no interpretation cost.
 """
 
 from __future__ import annotations

@@ -14,13 +14,21 @@ Thresholds come from the observed data, which is why guards sharpen as
 the active loop feeds counterexample traces back in (boundary examples
 move the learned cut points toward the true ones).
 
-Implementation notes.  Atom semantics over the (deduplicated) example
-set are precomputed as bitmasks -- one bit per example -- so testing a
-conjunction or disjunction is two integer ops.  Integer variables only
-contribute *boundary* cuts (values where the pos/neg label actually
-changes along the sorted axis), which keeps the atom pool small even for
-wide domains; this is the classic decision-tree reduction and loses no
-separating power for single atoms.
+Implementation notes.  Every atom mentions exactly one variable, so its
+truth on an example depends only on that variable's value there.  One
+pass over the (deduplicated) examples groups them into *value classes*
+per variable -- value -> (positive mask, negative mask), one bit per
+example -- and an atom's masks are the OR of the classes whose value
+satisfies it: one compiled evaluation per distinct value instead of one
+per example.  The same classes supply the atoms: the observed values
+give the equality atoms, and an integer variable contributes threshold
+cuts only at *label boundaries* (after a value that occurs on both
+sides, or on other sides than the next value along the sorted axis),
+which keeps the atom pool small even for wide domains; this is the
+classic decision-tree reduction and loses no separating power for
+single atoms.  With the masks in hand, testing a conjunction or
+disjunction is two integer ops.  Variables are the unprimed observables
+the examples bind.
 """
 
 from __future__ import annotations
@@ -29,32 +37,75 @@ from itertools import combinations
 from collections.abc import Iterable, Sequence
 
 from ..expr.ast import Expr, Var, eq, gt, land, lnot, lor
-from ..expr.eval import holds
-from ..expr.types import BoolSort, EnumSort, IntSort
-from ..system.valuation import Valuation
+from ..expr.compiled import compile_expr
+from ..expr.types import BoolSort, IntSort
+from ..system.valuation import Valuation, column
 
 _MAX_EQ_DOMAIN = 6   # enumerate equality atoms only for small domains
 _MAX_PAIR_ATOMS = 64  # cap for the 2-atom search
 _MAX_TRIPLE_ATOMS = 28  # cap for the 3-atom search
 
 
-def _int_cut_values(
+def _value_classes(
     var: Var, pos: Sequence[Valuation], neg: Sequence[Valuation]
-) -> list[int]:
-    """Boundary cuts for an int variable: values where the label flips."""
-    labelled = sorted(
-        {(obs[var.name], True) for obs in pos}
-        | {(obs[var.name], False) for obs in neg}
-    )
-    by_value: dict[int, set[bool]] = {}
-    for value, label in labelled:
-        by_value.setdefault(value, set()).add(label)
-    values = sorted(by_value)
-    cuts = []
-    for left, right in zip(values, values[1:], strict=False):
-        if by_value[left] != by_value[right] or len(by_value[left]) > 1:
-            cuts.append(left)
-    return cuts
+) -> dict[int, list[int]]:
+    """``value -> [pos_mask, neg_mask]``: bit i of a mask is set iff
+    ``pos[i]`` (``neg[i]``) binds ``var`` to that value."""
+    classes: dict[int, list[int]] = {}
+    for side, examples in enumerate((pos, neg)):
+        bit = 1
+        for value in column(examples, var.name):
+            masks = classes.get(value)
+            if masks is None:
+                classes[value] = masks = [0, 0]
+            masks[side] |= bit
+            bit <<= 1
+    return classes
+
+
+def _variable_atoms(var: Var, classes: dict[int, list[int]]) -> list[Expr]:
+    """Atoms over ``var`` suggested by its value classes, in order."""
+    if isinstance(var.sort, BoolSort):
+        return [eq(var, True), eq(var, False)]
+    values = sorted(classes)
+    atoms: list[Expr] = []
+    if isinstance(var.sort, IntSort):
+        # Threshold atoms at label boundaries, written with > so the
+        # rendered guards match the paper's ``(inp.temp > T_thresh)``.
+        sides = [(classes[v][0] != 0, classes[v][1] != 0) for v in values]
+        for value, here, after in zip(values, sides, sides[1:], strict=False):
+            if here != after or all(here):
+                cut = gt(var, value)
+                atoms += (cut, lnot(cut))
+        if len(values) > _MAX_EQ_DOMAIN:
+            return atoms
+    for value in values:
+        equality = eq(var, value)
+        atoms += (equality, lnot(equality))
+    return atoms
+
+
+def _classed_atoms(
+    variables: Sequence[Var],
+    pos: Sequence[Valuation],
+    neg: Sequence[Valuation],
+) -> dict[Expr, list[tuple[dict[str, int], list[int]]]]:
+    """Candidate atoms in deterministic order, each mapped to its
+    variable's classes as ``(single-binding environment, masks)``."""
+    atoms: dict[Expr, list[tuple[dict[str, int], list[int]]]] = {}
+    for var in variables:
+        classes = _value_classes(var, pos, neg)
+        envs = [
+            ({var.qualified_name: value}, masks)
+            for value, masks in classes.items()
+        ]
+        for atom in _variable_atoms(var, classes):
+            # Atoms are interned, so duplicates (a re-suggested literal,
+            # a variable listed twice) are the *same object*: identity
+            # dedup, keeping the deterministic first-occurrence order the
+            # search relies on.
+            atoms.setdefault(atom, envs)
+    return atoms
 
 
 def candidate_atoms(
@@ -63,39 +114,27 @@ def candidate_atoms(
     neg: Sequence[Valuation],
 ) -> list[Expr]:
     """Atomic predicates suggested by the data, in deterministic order."""
-    atoms: list[Expr] = []
-    for var in variables:
-        if isinstance(var.sort, BoolSort):
-            atoms.append(eq(var, True))
-            atoms.append(eq(var, False))
-            continue
-        if isinstance(var.sort, EnumSort):
-            observed = sorted(
-                {obs[var.name] for obs in pos} | {obs[var.name] for obs in neg}
-            )
-            for value in observed:
-                atoms.append(eq(var, value))
-                atoms.append(lnot(eq(var, value)))
-            continue
-        if isinstance(var.sort, IntSort):
-            # Threshold atoms at label boundaries, written with > so the
-            # rendered guards match the paper's ``(inp.temp > T_thresh)``.
-            cuts = _int_cut_values(var, pos, neg)
-            for cut in cuts:
-                atoms.append(gt(var, cut))
-                atoms.append(lnot(gt(var, cut)))
-            observed = {obs[var.name] for obs in pos} | {
-                obs[var.name] for obs in neg
-            }
-            if len(observed) <= _MAX_EQ_DOMAIN:
-                for value in sorted(observed):
-                    atoms.append(eq(var, value))
-                    atoms.append(lnot(eq(var, value)))
-    # Atoms are interned, so duplicates across the cut/equality sections
-    # (a boundary cut that is also an observed value, a re-suggested
-    # literal) are the *same object*: identity dedup, keeping the
-    # deterministic first-occurrence order the search relies on.
-    return list(dict.fromkeys(atoms))
+    return list(_classed_atoms(variables, pos, neg))
+
+
+def _atom_masks(
+    variables: Sequence[Var],
+    pos: Sequence[Valuation],
+    neg: Sequence[Valuation],
+) -> list[tuple[Expr, int, int]]:
+    """Every candidate atom with its bitmask semantics: bit i of the
+    positive (negative) mask is set iff the atom holds on ``pos[i]``
+    (``neg[i]``) -- the OR of the value classes on which it holds."""
+    evaluated: list[tuple[Expr, int, int]] = []
+    for atom, envs in _classed_atoms(variables, pos, neg).items():
+        atom_holds = compile_expr(atom)
+        pos_mask = neg_mask = 0
+        for env, (value_pos, value_neg) in envs:
+            if atom_holds(env):
+                pos_mask |= value_pos
+                neg_mask |= value_neg
+        evaluated.append((atom, pos_mask, neg_mask))
+    return evaluated
 
 
 def synthesize_separator(
@@ -116,24 +155,11 @@ def synthesize_separator(
     if not pos_list or not neg_list:
         # Nothing to separate from; the weakest guard is the right one.
         return None
-    atoms = candidate_atoms(variables, pos_list, neg_list)
-    if not atoms:
+    evaluated = _atom_masks(variables, pos_list, neg_list)
+    if not evaluated:
         return None
-
-    # Bitmask semantics: bit i of pos_mask(atom) = atom holds on pos[i].
     pos_full = (1 << len(pos_list)) - 1
     neg_full = (1 << len(neg_list)) - 1
-    evaluated: list[tuple[Expr, int, int]] = []
-    for atom in atoms:
-        pos_mask = 0
-        for index, obs in enumerate(pos_list):
-            if holds(atom, obs):
-                pos_mask |= 1 << index
-        neg_mask = 0
-        for index, obs in enumerate(neg_list):
-            if holds(atom, obs):
-                neg_mask |= 1 << index
-        evaluated.append((atom, pos_mask, neg_mask))
 
     # Single atoms.
     for atom, pos_mask, neg_mask in evaluated:

@@ -6,11 +6,14 @@ the explicit-state engine can key on state projections.
 
 Lookups are dict-backed (O(1)); the sorted item tuple is kept alongside
 for the hash, ordered iteration/equality and the pickle contract.
+:func:`column` and :func:`first_satisfying` read the backing dicts
+directly, for the scans that touch every observation of a trace set:
+``Valuation.__getitem__`` is a Python-level call per lookup.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class Valuation(Mapping[str, int]):
@@ -78,3 +81,20 @@ class Valuation(Mapping[str, int]):
         """Projection as a plain tuple (fast dict key for BFS)."""
         table = self._dict
         return tuple(table[name] for name in names)
+
+
+def column(valuations: Iterable[Valuation], name: str) -> list[int]:
+    """``[v[name] for v in valuations]``."""
+    return [valuation._dict[name] for valuation in valuations]
+
+
+def first_satisfying(
+    valuations: Sequence[Valuation],
+    predicate: Callable[[Mapping[str, int]], int],
+) -> int | None:
+    """Index of the first valuation whose bindings satisfy ``predicate``
+    (a compiled evaluator, which must not mutate them), or None."""
+    for index, valuation in enumerate(valuations):
+        if predicate(valuation._dict):
+            return index
+    return None

@@ -9,6 +9,7 @@ The key guarantees exercised here:
 * budget expiry returns the model-so-far, like the paper's timeout rows.
 """
 
+import random
 
 import pytest
 
@@ -230,3 +231,78 @@ class TestRefinement:
         for outcome in report.violations:
             for trace in counterexample_traces(traces, outcome):
                 assert not model.admits(trace)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "name",
+        ["ModelingALaunchAbortSystem", "HomeClimateControlUsingTheTruthtableBlock"],
+    )
+    def test_splice_matches_holds_scan(self, name, seed):
+        """The compiled scan splices exactly what a ``holds()`` scan does,
+        for the learned model's assumptions, strengthened variants that
+        exclude one valuation, and single-valuation conjunctions."""
+        from repro.core import extract_conditions, splice_counterexample
+        from repro.evaluation import default_learner
+        from repro.expr import eq, free_vars, land, lnot
+        from repro.stateflow.library import get_benchmark
+
+        bench = get_benchmark(name)
+        traces = random_traces(bench.system, count=10, length=10, seed=seed)
+        model = default_learner(bench, bench.fsas[0]).learn(traces)
+        learned = [
+            c.assumption
+            for c in extract_conditions(model)
+            if c.assumption is not None
+        ]
+        rng = random.Random(seed)
+        observations = [o for trace in traces for o in trace]
+        assumptions = list(learned)
+        for sample in rng.sample(observations, 5):
+            point = land(
+                *(eq(var, sample[var.name]) for var in bench.system.variables)
+            )
+            assumptions.append(point)
+            assumptions.append(land(rng.choice(learned), lnot(point)))
+        assert all(len(free_vars(a)) > 1 for a in assumptions[len(learned):])
+        for assumption in assumptions:
+            pair = (rng.choice(observations), rng.choice(observations))
+            assert splice_counterexample(
+                traces, assumption, pair
+            ) == reference_splice(traces, assumption, pair)
+
+    def test_splice_rejects_non_boolean_assumption(self, cooler):
+        from repro.core import splice_counterexample
+        from repro.system import Valuation
+
+        base = random_traces(cooler, count=3, length=5, seed=3)
+        pair = (Valuation({"temp": 40, "s": 1}), Valuation({"temp": 10, "s": 0}))
+        with pytest.raises(TypeError):
+            splice_counterexample(base, cooler.var_by_name("temp"), pair)
+
+    def test_splice_missing_variable_raises_eval_error(self, cooler):
+        from repro.core import splice_counterexample
+        from repro.expr import EvalError, Var, int_sort
+        from repro.system import Valuation
+
+        base = random_traces(cooler, count=3, length=5, seed=3)
+        pair = (Valuation({"temp": 40, "s": 1}), Valuation({"temp": 10, "s": 0}))
+        unbound = Var("pressure", int_sort(0, 9)) > 3
+        with pytest.raises(EvalError):
+            splice_counterexample(base, unbound, pair)
+
+
+def reference_splice(traces, assumption, counterexample):
+    """σ_CE with one ``holds()`` call per scanned observation."""
+    from repro.expr import holds
+    from repro.traces import Trace
+
+    v_t, v_t1 = counterexample
+    spliced = []
+    for trace in traces:
+        for index, observation in enumerate(trace):
+            if holds(assumption, observation):
+                candidate = Trace(trace.observations[:index] + (v_t, v_t1))
+                if candidate not in spliced:
+                    spliced.append(candidate)
+                break
+    return spliced or [Trace([v_t, v_t1])]

@@ -6,11 +6,12 @@ check across random workloads for all three learners.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.expr import Var, enum_sort, int_sort
+from repro.expr import BoolSort, IntSort, Var, enum_sort, eq, gt, int_sort, lnot
 from repro.learn import (
     KTailsLearner,
     SatDfaLearner,
@@ -21,6 +22,7 @@ from repro.learn import (
     infer_variables,
     synthesize_separator,
 )
+from repro.learn import predicates
 from repro.system import Valuation
 from repro.traces import Trace, TraceSet
 
@@ -136,6 +138,100 @@ class TestPredicateSynthesis:
             [TEMP, MODE, flag], [obs(temp=5, s=0, f=1)], [obs(temp=9, s=1, f=0)]
         )
         assert len(atoms) >= 6
+
+
+# ---------------------------------------------------------------------------
+# Value-class masks against the per-observation reference
+# ---------------------------------------------------------------------------
+
+
+def reference_candidate_atoms(variables, pos, neg):
+    """Candidate atoms as derived before value classes: per-variable set
+    comprehensions plus a sorted scan of (value, label) pairs."""
+    atoms = []
+    for var in variables:
+        if isinstance(var.sort, BoolSort):
+            atoms += [eq(var, True), eq(var, False)]
+            continue
+        observed = sorted(
+            {o[var.name] for o in pos} | {o[var.name] for o in neg}
+        )
+        if isinstance(var.sort, IntSort):
+            labels = {}
+            for value, label in sorted(
+                {(o[var.name], True) for o in pos}
+                | {(o[var.name], False) for o in neg}
+            ):
+                labels.setdefault(value, set()).add(label)
+            for left, right in zip(observed, observed[1:], strict=False):
+                if labels[left] != labels[right] or len(labels[left]) > 1:
+                    atoms += [gt(var, left), lnot(gt(var, left))]
+            if len(observed) > 6:
+                continue
+        for value in observed:
+            atoms += [eq(var, value), lnot(eq(var, value))]
+    return list(dict.fromkeys(atoms))
+
+
+def reference_atom_masks(variables, pos, neg):
+    """One ``holds()`` call per (atom, example) pair."""
+    from repro.expr import holds
+
+    evaluated = []
+    for atom in reference_candidate_atoms(variables, pos, neg):
+        pos_mask = sum(1 << i for i, o in enumerate(pos) if holds(atom, o))
+        neg_mask = sum(1 << i for i, o in enumerate(neg) if holds(atom, o))
+        evaluated.append((atom, pos_mask, neg_mask))
+    return evaluated
+
+
+def _domain(var):
+    return [0, 1] if isinstance(var.sort, BoolSort) else list(var.sort.values())
+
+
+@st.composite
+def separation_problems(draw):
+    """Bool/Enum/Int variables (one possibly listed twice) and example
+    sets with duplicates, values on both sides and sort-bound values."""
+    from repro.expr import BOOL
+
+    variables = []
+    for index in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["bool", "enum", "int"]))
+        if kind == "bool":
+            sort = BOOL
+        elif kind == "enum":
+            size = draw(st.integers(2, 4))
+            sort = enum_sort(f"E{size}", *(f"m{i}" for i in range(size)))
+        else:
+            lo = draw(st.integers(-4, 4))
+            sort = int_sort(lo, lo + draw(st.integers(0, 10)))
+        variables.append(Var(f"v{index}", sort))
+    variables += draw(st.lists(st.sampled_from(variables), max_size=1))
+    example = st.fixed_dictionaries(
+        {var.name: st.sampled_from(_domain(var)) for var in variables}
+    ).map(Valuation)
+    pos = draw(st.lists(example, min_size=1, max_size=12))
+    neg = draw(st.lists(example, min_size=1, max_size=12))
+    pos += draw(st.lists(st.sampled_from(pos), max_size=3))
+    neg += draw(st.lists(st.sampled_from(pos + neg), max_size=3))
+    return variables, pos, neg
+
+
+@settings(max_examples=300, deadline=None)
+@given(separation_problems(), st.integers(1, 3))
+def test_value_class_masks_match_holds_reference(problem, max_atoms):
+    variables, pos, neg = problem
+    pos_list = list(dict.fromkeys(pos))
+    neg_list = list(dict.fromkeys(neg))
+    reference = reference_atom_masks(variables, pos_list, neg_list)
+    atoms = candidate_atoms(variables, pos_list, neg_list)
+    assert len(atoms) == len(reference)
+    assert all(a is r for a, (r, _pm, _nm) in zip(atoms, reference, strict=True))
+    assert predicates._atom_masks(variables, pos_list, neg_list) == reference
+    with mock.patch.object(predicates, "_atom_masks", reference_atom_masks):
+        expected = synthesize_separator(pos, neg, variables, max_atoms)
+    assert synthesize_separator(pos, neg, variables, max_atoms) is expected
 
 
 def cooler_traces(seed=0, count=20, length=20):

@@ -657,6 +657,35 @@ class TestCliAndTableAgreement:
         text = render_profile(events)
         assert f"{expected_tm:.1f}%" in text
 
+    def test_splice_span_per_refining_round(self):
+        """Every round that splices counterexamples has a ``refine.splice``
+        child of ``loop.run`` carrying that round's trace counts."""
+        benchmark = get_benchmark("ModelingALaunchAbortSystem")
+        spec = next(s for s in benchmark.fsas if s.name == "ModeLogic")
+        session = telemetry.start("test")
+        try:
+            out = run_active(
+                benchmark, spec, initial_traces=10, trace_length=10,
+                budget_seconds=30,
+            )
+        finally:
+            telemetry.stop()
+        buffer = io.StringIO()
+        export_jsonl(session, buffer)
+        events = read_events(buffer.getvalue().splitlines())
+        spans = [e for e in events if e["event"] == "span"]
+        run_id = next(e["id"] for e in spans if e["name"] == "loop.run")
+        splices = [e for e in spans if e["name"] == "refine.splice"]
+        refining = [r for r in out.result.records if r.violations]
+        assert any(r.duplicates_skipped for r in refining)
+        assert [
+            (e["attrs"]["iteration"], e["attrs"]["new_traces"],
+             e["attrs"]["duplicates"])
+            for e in splices
+        ] == [(r.index, r.new_traces, r.duplicates_skipped) for r in refining]
+        assert all(e["parent"] == run_id for e in splices)
+        assert "refine.splice" in render_profile(events)
+
     def test_jobs_snapshot_merged_into_export(self):
         """A run_active whose segments are learned on two workers
         exports a fleet snapshot with their counters merged in."""
