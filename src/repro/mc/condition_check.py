@@ -128,9 +128,8 @@ class IncrementalConditionChecker:
         """Lexicographically minimal model of the current query scope.
 
         The counterexample a CDCL search returns depends on its clause
-        database, saved phases and even the (hash-salted) order in which
-        the encoder first met the variables -- so it differs between
-        solver histories and between processes.  The *minimal* model
+        database, saved phases and activity scores -- so it differs
+        between solver histories.  The *minimal* model
         under a fixed variable order is a pure function of the query,
         which is what makes canonical reports a deterministic reference
         (see the canonical-counterexample section of

@@ -36,6 +36,28 @@ periodic reductions drop the worst-scored half while always retaining
 propagation reasons.  :meth:`Solver.maintain` exposes the same hygiene
 (plus VSIDS activity rescaling and lazy-heap compaction) as an explicit
 hook for session owners to call between iterations.
+
+The assignment is one literal-indexed value table, ``_val[lit]``: 1
+when ``lit`` is true, -1 when it is false, 0 when unassigned.  Negative
+literals index from the end of the list (Python's own negative
+indexing), so ``_val[-v]`` needs no ``abs()`` and no sign branch; the
+list doubles whenever the positive and negative halves would meet.
+Assigning ``lit`` writes both ``_val[lit]`` and ``_val[-lit]``.
+:meth:`Solver._propagate` reads the table and enqueues implied literals
+inline, and compacts each watch list in place rather than building a
+new one per propagated literal.
+
+Watch lists hold bare clauses, without MiniSat's blocker literals: a
+blocker changes which literal a clause watches after a move, and so the
+search and the models it returns.  The watch order and the literal
+swaps are those of the plain two-watched-literal scheme.
+
+Decisions take the unassigned variable of highest activity, lowest
+index first.  Only variables some conflict has bumped live in the lazy
+heap, each at most once at its current activity (``_queued``); the
+never-bumped ones all have activity 0 and are taken in index order from
+a cursor that backtracking lowers.  This picks exactly what one heap
+entry per assignment change would, without the pushes and pops.
 """
 
 from __future__ import annotations
@@ -59,11 +81,6 @@ def _tel_metrics():
 
     session = active()
     return None if session is None else session.metrics
-
-
-_UNASSIGNED = 0
-_TRUE = 1
-_FALSE = -1
 
 
 def luby(i: int) -> int:
@@ -134,7 +151,8 @@ class Solver:
     def __init__(self, cnf: CNF | None = None) -> None:
         self._num_vars = 0
         self._watches: dict[int, list[list[int]]] = {}
-        self._assign: list[int] = [_UNASSIGNED]  # 1-indexed by variable
+        # Literal-indexed values: _val[v] and _val[-v] (from the end).
+        self._val: list[int] = [0, 0]
         self._level: list[int] = [0]
         self._reason: list[list[int] | None] = [None]
         self._trail: list[int] = []
@@ -142,7 +160,12 @@ class Solver:
         self._prop_head = 0
         self._activity: list[float] = [0.0]
         self._phase: list[bool] = [False]
-        self._order: list[tuple[float, int]] = []  # lazy max-heap (neg act)
+        # Lazy max-heap of (-activity, var) for bumped variables; the
+        # never-bumped ones are taken in index order from _first_free.
+        # _queued[v]: the heap holds v's entry at its current activity.
+        self._order: list[tuple[float, int]] = []
+        self._queued: list[bool] = [False]
+        self._first_free = 1
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
         self._learned: list[list[int]] = []
@@ -169,14 +192,22 @@ class Solver:
     def new_var(self) -> int:
         self._num_vars += 1
         var = self._num_vars
-        self._assign.append(_UNASSIGNED)
+        val = self._val
+        if 2 * var >= len(val):
+            # Double, keeping 1..var-1 at the front and -(var-1)..-1 at
+            # the back, so the two halves never overlap.
+            size = len(val)
+            grown = [0] * (2 * size)
+            grown[:var] = val[:var]
+            grown[2 * size - var + 1 :] = val[size - var + 1 :]
+            self._val = grown
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
+        self._queued.append(False)
         self._phase.append(False)
         self._watches[var] = []
         self._watches[-var] = []
-        heapq.heappush(self._order, (0.0, var))
         return var
 
     def ensure_vars(self, num_vars: int) -> None:
@@ -241,10 +272,10 @@ class Solver:
             if lit in seen:
                 continue
             seen.add(lit)
-            value = self._lit_value(lit)
-            if value == _TRUE:
+            value = self._val[lit]
+            if value == 1:
                 return True  # already satisfied at level 0
-            if value == _FALSE:
+            if value == -1:
                 continue  # falsified at level 0; drop the literal
             clause.append(lit)
         if not clause:
@@ -265,71 +296,93 @@ class Solver:
     # ------------------------------------------------------------------
     # assignment helpers
     # ------------------------------------------------------------------
-    def _lit_value(self, lit: int) -> int:
-        value = self._assign[abs(lit)]
-        if value == _UNASSIGNED:
-            return _UNASSIGNED
-        return value if lit > 0 else -value
-
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        value = self._lit_value(lit)
-        if value == _FALSE:
-            return False
-        if value == _TRUE:
-            return True
-        var = abs(lit)
-        self._assign[var] = _TRUE if lit > 0 else _FALSE
+        value = self._val[lit]
+        if value:
+            return value == 1
+        self._val[lit] = 1
+        self._val[-lit] = -1
+        var = lit if lit > 0 else -lit
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
         return True
 
     def _propagate(self) -> list[int] | None:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self._prop_head < len(self._trail):
-            lit = self._trail[self._prop_head]
-            self._prop_head += 1
-            self.propagations += 1
-            false_lit = -lit
-            watch_list = self._watches[false_lit]
-            kept: list[list[int]] = []
-            conflict: list[int] | None = None
-            for idx, clause in enumerate(watch_list):
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+        """Unit propagation; returns a conflicting clause or None.
+
+        The watch list of each newly false literal is compacted in place:
+        ``ws[:kept]`` collects the clauses that keep watching it, in their
+        original order, and the tail is cut once the scan ends.
+        """
+        trail = self._trail
+        val = self._val
+        watches = self._watches
+        levels = self._level
+        reasons = self._reason
+        level = len(self._trail_lim)
+        start = head = self._prop_head
+        conflict: list[int] | None = None
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            ws = watches[false_lit]
+            kept = 0
+            for i, clause in enumerate(ws):
                 first = clause[0]
-                if self._lit_value(first) == _TRUE:
-                    kept.append(clause)
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if val[first] == 1:
+                    ws[kept] = clause
+                    kept += 1
                     continue
-                moved = False
-                for j in range(2, len(clause)):
-                    if self._lit_value(clause[j]) != _FALSE:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self._watches[clause[1]].append(clause)
-                        moved = True
+                j = 2
+                size = len(clause)
+                while j < size:
+                    other = clause[j]
+                    if val[other] != -1:
+                        clause[j] = clause[1]
+                        clause[1] = other
+                        watches[other].append(clause)
                         break
-                if moved:
-                    continue
-                kept.append(clause)
-                if not self._enqueue(first, clause):
-                    conflict = clause
-                    kept.extend(watch_list[idx + 1:])
-                    break
-            self._watches[false_lit] = kept
+                    j += 1
+                else:
+                    ws[kept] = clause
+                    kept += 1
+                    if val[first] == -1:
+                        conflict = clause
+                        ws[kept:] = ws[i + 1 :]
+                        break
+                    val[first] = 1
+                    val[-first] = -1
+                    var = first if first > 0 else -first
+                    levels[var] = level
+                    reasons[var] = clause
+                    trail.append(first)
+            else:
+                del ws[kept:]
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self.propagations += head - start
+        self._prop_head = head
+        return conflict
 
     # ------------------------------------------------------------------
     # conflict analysis (first UIP)
     # ------------------------------------------------------------------
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
+        activity = self._activity
+        activity[var] += self._var_inc
+        if activity[var] > 1e100:
             for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
+                activity[v] *= 1e-100
             self._var_inc *= 1e-100
-        heapq.heappush(self._order, (-self._activity[var], var))
+            self._compact_order()  # every entry's activity changed
+            return
+        heapq.heappush(self._order, (-activity[var], var))
+        self._queued[var] = True
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP analysis; returns (learned clause, backtrack level)."""
@@ -406,12 +459,26 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         bound = self._trail_lim[level]
+        val = self._val
+        phase = self._phase
+        reasons = self._reason
+        activity = self._activity
+        order = self._order
+        queued = self._queued
+        push = heapq.heappush
+        first_free = self._first_free
         for lit in reversed(self._trail[bound:]):
-            var = abs(lit)
-            self._phase[var] = self._assign[var] == _TRUE
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = None
-            heapq.heappush(self._order, (-self._activity[var], var))
+            var = lit if lit > 0 else -lit
+            phase[var] = lit > 0
+            val[lit] = val[-lit] = 0
+            reasons[var] = None
+            if activity[var]:
+                if not queued[var]:
+                    queued[var] = True
+                    push(order, (-activity[var], var))
+            elif var < first_free:
+                first_free = var
+        self._first_free = first_free
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._prop_head = min(self._prop_head, len(self._trail))
@@ -485,6 +552,7 @@ class Solver:
             for var in range(1, self._num_vars + 1)
         ]
         heapq.heapify(self._order)
+        self._queued = [True] * (self._num_vars + 1)
 
     def maintain(self) -> None:
         """Periodic hygiene hook for session-scoped solvers.
@@ -517,24 +585,34 @@ class Solver:
         deterministic for a given solver state.
         """
         core = {failed_lit}
-        var0 = abs(failed_lit)
+        levels = self._level
+        var0 = failed_lit if failed_lit > 0 else -failed_lit
         # Falsified at level 0 means the formula alone implies the
         # negation: the core is the failed assumption by itself.
-        if self._level[var0] > 0 and self._trail_lim:
+        if levels[var0] > 0 and self._trail_lim:
+            trail = self._trail
+            reasons = self._reason
             seen = {var0}
             bound = self._trail_lim[0]
-            for lit in reversed(self._trail[bound:]):
-                var = abs(lit)
+            # Reason literals sit below the literal they imply, so the
+            # walk starts at ``¬failed_lit`` and ends once nothing is
+            # pending.
+            for index in range(trail.index(-failed_lit, bound), bound - 1, -1):
+                lit = trail[index]
+                var = lit if lit > 0 else -lit
                 if var not in seen:
                     continue
                 seen.discard(var)
-                reason = self._reason[var]
+                reason = reasons[var]
                 if reason is None:
                     core.add(lit)
                 else:
                     for q in reason:
-                        if abs(q) != var and self._level[abs(q)] > 0:
-                            seen.add(abs(q))
+                        other = q if q > 0 else -q
+                        if other != var and levels[other] > 0:
+                            seen.add(other)
+                if not seen:
+                    break
         ordered: list[int] = []
         picked: set[int] = set()
         for lit in assumptions:
@@ -547,14 +625,29 @@ class Solver:
     # decisions
     # ------------------------------------------------------------------
     def _pick_branch_var(self) -> int:
-        while self._order:
-            _act, var = heapq.heappop(self._order)
-            if self._assign[var] == _UNASSIGNED:
+        """The unassigned variable of highest activity, lowest index first.
+
+        Every unassigned bumped variable has an entry at its current
+        activity in the heap, ranking above its stale ones; variables
+        never bumped rank below all of them, in index order.
+        """
+        order = self._order
+        val = self._val
+        activity = self._activity
+        queued = self._queued
+        pop = heapq.heappop
+        while order and order[0][0] < 0:
+            key, var = pop(order)
+            if key == -activity[var]:
+                queued[var] = False
+            if not val[var]:
                 return var
-        for var in range(1, self._num_vars + 1):
-            if self._assign[var] == _UNASSIGNED:
-                return var
-        return 0
+        var = self._first_free
+        last = self._num_vars
+        while var <= last and val[var]:
+            var += 1
+        self._first_free = var
+        return var if var <= last else 0
 
     # ------------------------------------------------------------------
     # main search
@@ -618,10 +711,10 @@ class Solver:
             while len(self._trail_lim) < len(assumed):
                 # Re-assert pending assumptions, one decision level each.
                 next_assumed = assumed[len(self._trail_lim)]
-                value = self._lit_value(next_assumed)
-                if value == _TRUE:
+                value = self._val[next_assumed]
+                if value == 1:
                     self._trail_lim.append(len(self._trail))
-                elif value == _FALSE:
+                elif value == -1:
                     # Assumptions conflict with the formula (or each
                     # other): UNSAT *under assumptions* only.  The final
                     # conflict is analyzed before backtracking (the core
@@ -651,9 +744,8 @@ class Solver:
     ) -> SolveResult:
         model = {}
         if satisfiable:
-            model = {
-                v: self._assign[v] == _TRUE for v in range(1, self._num_vars + 1)
-            }
+            val = self._val
+            model = {v: val[v] == 1 for v in range(1, self._num_vars + 1)}
         base_c, base_d, base_p = self._solve_base
         result = SolveResult(
             satisfiable,

@@ -106,9 +106,14 @@ class Encoder:
         self.gates.assert_true(signed_leq(vec, hi_vec, self.gates))
 
     def _declare_all(self, expr: Expr) -> None:
+        """Declare ``expr``'s free variables in ``eid`` order.
+
+        ``free_vars`` is an identity-hashed frozenset, so iterating it
+        directly would number the CNF variables by memory address.
+        """
         from ..expr.ast import free_vars
 
-        for var in free_vars(expr):
+        for var in sorted(free_vars(expr), key=lambda v: v.eid):
             self.declare(var)
 
     # ------------------------------------------------------------------
@@ -232,6 +237,9 @@ class Encoder:
         """
         if self._presimplify is not None:
             expr = self._presimplify(expr)
+        cached = self._bool_cache.get(expr.eid)
+        if cached is not None:
+            return cached  # encoding it declared every variable it has
         self._declare_all(expr)
         return self.encode_bool(expr)
 

@@ -13,11 +13,18 @@ into unit clauses but into assumption literals for the next solve, so
 popping a scope costs nothing and everything the SAT core learned --
 including lemmas about the scoped assertions themselves, which the
 encoder memoises by expression node -- is reused by later queries.
+
+A scoped conjunction becomes one assumption literal per conjunct, not
+one literal for a fresh n-ary AND gate.  The Fig. 3b strengthening loop
+re-checks ``r ∧ ¬s'_1 ∧ … ∧ ¬s'_n`` after every spurious counterexample;
+each conjunct is memoised by node, so round n encodes only its new
+``¬s'_n`` and a condition costs O(R) clauses over R rounds instead of
+O(R²).  Unsat cores of scoped assertions therefore name conjuncts.
 """
 
 from __future__ import annotations
 
-from ..expr.ast import Expr, Var
+from ..expr.ast import And, Expr, Var
 from ..sat.solver import Solver
 from .encoder import Encoder
 
@@ -70,12 +77,18 @@ class SmtSolver:
         """Assert ``expr`` (Boolean) as a constraint.
 
         Outside any scope the assertion is permanent; inside the
-        innermost scope it lives until the matching :meth:`pop`.
+        innermost scope it lives until the matching :meth:`pop`, and each
+        conjunct of an ``And`` is its own assumption literal.
         """
-        lit = self._encoder.encode_literal(expr)
         if not self._scopes:
-            self._encoder.gates.assert_true(lit)
+            self._encoder.gates.assert_true(self._encoder.encode_literal(expr))
             return
+        for conjunct in expr.args if isinstance(expr, And) else (expr,):
+            self._assume(conjunct)
+
+    def _assume(self, expr: Expr) -> None:
+        """Add ``expr`` to the innermost scope's assumption literals."""
+        lit = self._encoder.encode_literal(expr)
         const = self._encoder.gates.is_const(lit)
         lits, unsat = self._scopes[-1]
         if const is True:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.expr import FALSE, TRUE, Var, holds, int_sort, land, lnot, lor
+from repro.expr.ast import And
 from repro.mc import check_condition, reachable_formula, shared_reachability
 from repro.mc.condition_check import IncrementalConditionChecker
 from repro.smt.encoder import Encoder
@@ -155,6 +156,50 @@ class TestSolverReuse:
         assert oracle._checker.backing_solver is backing
         # One solve per round: initial check + one per exclusion.
         assert backing.solve_calls == 3
+
+    def test_blind_strengthening_encodes_only_the_new_exclusion(
+        self, monkeypatch
+    ):
+        """Each Fig. 3b round ``r ← r ∧ ¬s'`` costs the clauses of its new
+        ``¬s'`` alone: a round whose exclusion is new to the solver adds
+        the same number of clauses however long the assumption has
+        grown (the n-ary gate of the whole conjunction grew by one
+        clause per round)."""
+        from repro.evaluation import run_active
+
+        rounds = []
+        original = IncrementalConditionChecker.check
+
+        def recording(self, assume, conclusion, canonical=False):
+            before = self._solver.encoder.clause_cursor()
+            result = original(self, assume, conclusion, canonical)
+            added = self._solver.encoder.clause_cursor() - before
+            rounds.append((conclusion, assume, added))
+            return result
+
+        monkeypatch.setattr(IncrementalConditionChecker, "check", recording)
+        bench = get_benchmark("ModelingALaunchAbortSystem")
+        spec = next(s for s in bench.fsas if s.name == "Overall")
+        out = run_active(
+            bench, spec, initial_traces=30, trace_length=30, seed=0,
+            budget_seconds=60, spurious_engine="bdd",
+        )
+        assert out.row.alpha == 1.0
+
+        def conjuncts(expr):
+            return expr.args if isinstance(expr, And) else (expr,)
+
+        strengthening = [
+            added
+            for (conclusion, previous, _), (again, assume, added) in zip(
+                rounds, rounds[1:], strict=False
+            )
+            if again is conclusion
+            and conjuncts(assume)[:-1] == conjuncts(previous)
+        ]
+        assert len(strengthening) >= 10
+        assert len({added for added in strengthening if added}) == 1
+
 
 
 def _saturating_counter():

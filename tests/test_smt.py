@@ -5,6 +5,13 @@ the variable sorts, the bit-blasted semantics agrees with the concrete
 evaluator.  Hypothesis drives that comparison on random expressions.
 """
 
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +27,7 @@ from repro.expr import (
     lnot,
     lor,
 )
+from repro.expr.ast import And
 from repro.smt import (
     SmtSolver,
     decode_bits,
@@ -229,6 +237,109 @@ class TestScopes:
             assert solver.check() == expected
             solver.pop()
         assert solver.check()  # base constraints still satisfiable
+
+
+PADDED_VALIDATION = """
+import json, sys
+padding = [object() for _ in range(int(sys.argv[1]))]
+from repro.analysis.system_check import validate_system
+from repro.sat.solver import Solver
+from repro.stateflow.library import get_benchmark
+counts = []
+original = Solver.solve
+def solve(self, assumptions=()):
+    result = original(self, assumptions)
+    counts.append([result.satisfiable, result.conflicts_delta,
+                   result.decisions_delta, result.propagations_delta])
+    return result
+Solver.solve = solve
+validate_system(get_benchmark("KarplusStrongAlgorithmUsingStateflow").system)
+print(json.dumps(counts))
+"""
+
+
+class TestEncoderDeterminism:
+    def test_solve_counts_do_not_depend_on_memory_layout(self):
+        """Undeclared variables are numbered in ``eid`` order, so the
+        validator's one-shot queries repeat whatever objects the process
+        allocated first (``free_vars`` is an identity-hashed set)."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", PADDED_VALIDATION, str(padding)],
+                capture_output=True, text=True, env=env, cwd=root, check=True,
+            ).stdout
+            for padding in (0, 7, 100, 1000)
+        ]
+        assert json.loads(runs[0])
+        assert runs == [runs[0]] * len(runs)
+
+
+class TestScopedConjunctions:
+    """A scoped ``And`` is one assumption literal per conjunct."""
+
+    ATOMS = [
+        X > 4, X < 9, X.eq(7), X.eq(12), Y <= -2, Y >= 3, Y.eq(0),
+        eq(X + Y, 5), eq(X + Y, 20), F, lnot(F), MODE.eq("On"),
+        ite(F, X > 10, Y < 0), lor(MODE.eq("Off"), X < 3),
+    ]
+
+    def test_conjunction_matches_separate_adds(self):
+        rng = random.Random(5)
+        base = lor(F, X > 2)
+        joint, split = SmtSolver(), SmtSolver()
+        for solver in (joint, split):
+            solver.add(base)
+        for _ in range(60):
+            conjuncts = rng.sample(self.ATOMS, k=3)
+            joint.push()
+            joint.add(land(*conjuncts))
+            split.push()
+            for conjunct in conjuncts:
+                split.add(conjunct)
+            expected = is_satisfiable(base, *conjuncts)
+            assert joint.check() == split.check() == expected, conjuncts
+            joint.pop()
+            split.pop()
+
+    def test_core_names_the_conjuncts_used(self):
+        solver = SmtSolver()
+        solver.push()
+        solver.add(land(X <= 1, Y >= 2, X >= 3))
+        assert not solver.check()
+        assert set(solver.unsat_core_exprs()) == {X <= 1, X >= 3}
+
+    def test_constant_false_conjunct_is_reported(self):
+        impossible = eq(X + Y, 40)  # the encoder folds it to false
+        conjunction = land(X <= 3, impossible)
+        assert isinstance(conjunction, And)
+        solver = SmtSolver()
+        solver.push()
+        solver.add(conjunction)
+        assert not solver.check()
+        assert solver.unsat_core == ()
+        assert solver.unsat_core_exprs() == (impossible,)
+        solver.pop()
+        assert solver.check()
+
+    def test_add_is_entered_once_per_assertion(self, monkeypatch):
+        """Layer timing wraps the public ``add``, so splitting a
+        conjunction must not re-enter it."""
+        entered = []
+        original = SmtSolver.add
+
+        def counting(self, expr):
+            entered.append(expr)
+            return original(self, expr)
+
+        monkeypatch.setattr(SmtSolver, "add", counting)
+        solver = SmtSolver()
+        solver.add(X > 2)
+        solver.push()
+        solver.add(land(X < 9, F, lnot(Y.eq(0))))
+        assert solver.check()
+        assert len(entered) == 2
 
 
 # ---------------------------------------------------------------------------
