@@ -28,17 +28,17 @@ conventions.  This linter makes them enforced:
   call must be dotted lowercase ``component.phase`` (e.g.
   ``"oracle.check"``, ``"loop.learn"``; see ``docs/observability.md``) so
   profiles group consistently and exported logs stay greppable.
-* **C007** — ad-hoc algebraic rewriting outside the rule table.  A
+* **C007** — ad-hoc algebraic rewriting outside the simplifier.  A
   function that both dispatches on several composite Expr classes
   (``isinstance``/``type(..) is``) *and* rebuilds expressions through
-  the smart constructors is doing what ``expr/rewrite.py`` does — as an
-  untested one-off.  Algebraic rewrites belong in the rule table
-  (``expr/rules.py``), where the discrimination net matches them, the
-  telemetry counts them and the property suite checks them.  Pure
-  dispatchers (evaluators, encoders, printers: no smart-constructor
-  calls) and pure builders (no class dispatch) stay allowed;
-  ``expr/ast.py``, ``expr/rewrite.py`` and ``expr/rules.py`` are exempt
-  because they *are* the sanctioned home of such code.
+  the smart constructors is doing what ``expr/simplify.py`` does — as
+  an untested one-off.  Algebraic rewrites belong in the simplifier's
+  rule table (``expr/simplify.py``), where the telemetry counts them
+  and the property suite checks them.  Pure dispatchers (evaluators,
+  encoders, printers: no smart-constructor calls) and pure builders
+  (no class dispatch) stay allowed; ``expr/ast.py`` and
+  ``expr/simplify.py`` are exempt because they *are* the sanctioned
+  home of such code.
 * **C008** — environment access (``os.environ``, ``os.getenv``,
   ``os.putenv``) inside the ``repro`` package.  Environment knobs are
   invisible configuration that spawned workers inherit silently;
@@ -104,7 +104,7 @@ _ENV_ACCESS = frozenset({"environ", "getenv", "putenv"})
 #: before C007 considers it a rewrite pass rather than a special case.
 _C007_MIN_CLASSES = 3
 
-_EXPR_MODULE = re.compile(r"(^|\.)expr(\.ast|\.rewrite|\.rules)?$|^ast$")
+_EXPR_MODULE = re.compile(r"(^|\.)expr(\.ast)?$|^ast$")
 _EXPR_KEYED = re.compile(
     r"\b(dict|Dict|set|Set|frozenset|defaultdict|OrderedDict|"
     r"WeakKeyDictionary|WeakValueDictionary)\s*\[\s*['\"]?Expr\b"
@@ -122,8 +122,8 @@ CODE_MESSAGES = {
     "C005": "time.time() in a measured path (use perf_counter)",
     "C006": "span name must be dotted lowercase component.phase",
     "C007": (
-        "ad-hoc algebraic rewrite outside the rule table "
-        "(add a Rule in expr/rules.py)"
+        "ad-hoc algebraic rewrite outside the simplifier "
+        "(add a rule in expr/simplify.py)"
     ),
     "C008": "environment access inside the repro package",
 }
@@ -382,9 +382,7 @@ def lint_source(source: str, path: str) -> list[ContractFinding]:
     the path-scoped rules (C001, C007, C008)."""
     normalized = path.replace("\\", "/")
     in_expr_ast = normalized.endswith("expr/ast.py")
-    c007_exempt = normalized.endswith(
-        ("expr/ast.py", "expr/rewrite.py", "expr/rules.py")
-    )
+    c007_exempt = normalized.endswith(("expr/ast.py", "expr/simplify.py"))
     tree = ast.parse(source, filename=path)
     visitor = _ContractVisitor(path, in_expr_ast, c007_exempt)
     visitor.visit(tree)

@@ -176,19 +176,6 @@ def _narrow(env: dict, cond: Expr, positive: bool) -> dict | None:
     return env
 
 
-def narrow_env(
-    env: Mapping[Var, tuple[int, int]], cond: Expr, positive: bool = True
-) -> dict | None:
-    """Refine a bounds environment under ``cond`` (or its negation).
-
-    Public entry over :func:`_narrow` for the rewrite engine's context
-    threading (``expr/rewrite.py``): returns a refined copy of ``env``,
-    ``env``-equivalent when ``cond`` contributes nothing, or ``None``
-    when the condition is infeasible under ``env``.
-    """
-    return _narrow(dict(env), cond, positive)
-
-
 def expr_bounds(
     expr: Expr, env: dict | None = None
 ) -> tuple[int, int]:

@@ -655,7 +655,7 @@ def _aggregate_spans(events: list[dict[str, Any]]) -> _ProfileNode:
 def _rewrite_rule_rows(
     counters: dict[str, int],
 ) -> list[tuple[str, int, int]]:
-    """``(rule, fires, attempts)`` rows from the rewrite engine's
+    """``(rule, fires, attempts)`` rows from the simplifier's
     per-rule counters, ranked by payoff (fires, then attempts)."""
     rows: dict[str, list[int]] = {}
     prefix = "rewrite.rule."

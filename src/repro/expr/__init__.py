@@ -63,30 +63,7 @@ from .printer import guard_str, to_str
 from .sexpr import SexprError
 from .sexpr import dumps as sexpr_dumps
 from .sexpr import loads as sexpr_loads
-from .rewrite import (
-    DiscriminationNet,
-    Match,
-    PAc,
-    PLit,
-    PNode,
-    PVar,
-    RewriteEngine,
-    Rule,
-)
-from .rules import (
-    DEFAULT_RULES,
-    EXTENDED_RULES,
-    default_engine,
-    extended_engine,
-    make_const_comparison_rules,
-)
-from .simplify import (
-    deep_simplify,
-    is_trivially_false,
-    is_trivially_true,
-    legacy_simplify,
-    simplify,
-)
+from .simplify import simplify
 from .subst import (
     rename_step,
     substitute,
@@ -107,19 +84,15 @@ from .types import (
 )
 
 __all__ = [
-    "Add", "And", "BOOL", "BoolSort", "Const", "DEFAULT_RULES",
-    "DiscriminationNet", "EXTENDED_RULES", "Env", "EnumSort", "Eq",
+    "Add", "And", "BOOL", "BoolSort", "Const", "Env", "EnumSort", "Eq",
     "EvalError", "Expr", "FALSE", "Iff", "Implies", "IntSort", "Ite", "Le",
-    "Lt", "Match", "Mul", "Neg", "Not", "Or", "PAc", "PLit", "PNode",
-    "PVar", "RewriteEngine", "Rule", "Sort", "Sub", "TRUE", "Var",
+    "Lt", "Mul", "Neg", "Not", "Or", "Sort", "Sub", "TRUE", "Var",
     "add", "bool_const", "children", "coerce", "compile_expr",
-    "compiled_size", "deep_simplify", "default_engine", "enum_const",
-    "enum_sort", "eq", "evaluate", "extended_engine", "free_vars", "ge",
-    "gt", "guard_str", "has_primed_vars", "holds", "iff", "implies",
-    "int_constants", "int_sort", "intern_table_size", "interval",
-    "is_trivially_false", "is_trivially_true", "ite", "land", "le",
-    "legacy_simplify", "lnot", "lor", "lt", "make_const_comparison_rules",
-    "maximum", "minimum", "mul", "ne", "neg", "rename_step", "simplify",
+    "compiled_size", "enum_const", "enum_sort", "eq", "evaluate",
+    "free_vars", "ge", "gt", "guard_str", "has_primed_vars", "holds",
+    "iff", "implies", "int_constants", "int_sort", "intern_table_size",
+    "interval", "ite", "land", "le", "lnot", "lor", "lt", "maximum",
+    "minimum", "mul", "ne", "neg", "rename_step", "simplify",
     "sort_values", "sub", "substitute", "substitute_values", "to_primed",
     "to_str", "to_unprimed", "transform", "walk", "walk_unique",
 ]

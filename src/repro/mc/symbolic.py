@@ -165,13 +165,9 @@ class BddCompiler:
     current bit + 1) followed by the input bits, in declaration order.
     """
 
-    def __init__(self, system: SymbolicSystem, *, presimplify=None):
+    def __init__(self, system: SymbolicSystem):
         self.manager = BddManager()
         self.gates = BddGateBuilder(self.manager)
-        # Optional Expr -> Expr hook (e.g. ``expr.deep_simplify``)
-        # applied at the compile_bool entry: a smaller input DAG means
-        # fewer intermediate BDD nodes for R and the partition clusters.
-        self._presimplify = presimplify
         # Subformula compilation memos, keyed on the interned node's eid
         # (identity == structural equality in the hash-consed core): a
         # subformula shared between R, guards and queries is translated
@@ -278,8 +274,6 @@ class BddCompiler:
     def compile_bool(self, expr: Expr) -> int:
         if not expr.sort.is_bool():
             raise TypeError(f"expected bool expression, got {expr.sort}")
-        if self._presimplify is not None:
-            expr = self._presimplify(expr)
         cached = self._bool_memo.get(expr.eid)
         if cached is not None:
             return cached
@@ -552,10 +546,9 @@ class SharedBddContext:
         system: SymbolicSystem,
         *,
         partitioned: bool = True,
-        presimplify=None,
     ):
         self._system = system
-        self.compiler = BddCompiler(system, presimplify=presimplify)
+        self.compiler = BddCompiler(system)
         self.manager = self.compiler.manager
         self.partitioned = partitioned
         self._trans: int | None = None

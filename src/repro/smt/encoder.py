@@ -59,7 +59,7 @@ from .bitvec import (
 class Encoder:
     """Encodes expressions into a shared CNF."""
 
-    def __init__(self, *, presimplify=None) -> None:
+    def __init__(self) -> None:
         self.cnf = CNF()
         self.gates = GateBuilder(self.cnf)
         self._bool_vars: dict[str, int] = {}
@@ -68,11 +68,6 @@ class Encoder:
         # eid-keyed (interned exprs: eid is the structural identity).
         self._bool_cache: dict[int, int] = {}
         self._int_cache: dict[int, BitVec] = {}
-        # Optional Expr -> Expr hook (e.g. ``expr.deep_simplify``)
-        # applied at the public entry points before encoding: a smaller
-        # input DAG means fewer Tseitin gates for every later query.
-        # The hook's own memo keeps repeated entries cheap.
-        self._presimplify = presimplify
 
     # ------------------------------------------------------------------
     # variable declaration
@@ -235,8 +230,6 @@ class Encoder:
         satisfiable on their own) stay behind and are shared with every
         later query, as are all clauses the SAT core learned about them.
         """
-        if self._presimplify is not None:
-            expr = self._presimplify(expr)
         cached = self._bool_cache.get(expr.eid)
         if cached is not None:
             return cached  # encoding it declared every variable it has

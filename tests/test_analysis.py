@@ -586,8 +586,8 @@ class TestContractLinter:
             "        return lnot(lor(land(e)))\n"
             "    return e\n"
         )
-        assert lint_source(src, "src/repro/expr/rewrite.py") == []
-        assert lint_source(src, "src/repro/expr/rules.py") == []
+        assert lint_source(src, "src/repro/expr/ast.py") == []
+        assert lint_source(src, "src/repro/expr/simplify.py") == []
         assert [
             f.code for f in lint_source(src, "src/repro/mc/symbolic.py")
         ] == ["C007"]

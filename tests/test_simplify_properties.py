@@ -10,15 +10,14 @@ from hypothesis import given, settings, strategies as st
 from repro.expr import (
     BOOL,
     Var,
-    compile_expr,
-    deep_simplify,
     enum_sort,
     eq,
     holds,
+    iff,
+    implies,
     int_sort,
     ite,
     land,
-    legacy_simplify,
     lnot,
     lor,
     simplify,
@@ -49,6 +48,9 @@ def bool_exprs(depth: int):
         st.tuples(sub, sub).map(lambda t: lor(*t)),
         sub.map(lnot),
         st.tuples(sub, sub, sub).map(lambda t: ite(t[0], t[1], t[2])),
+        st.tuples(sub, sub).map(lambda t: implies(*t)),
+        sub.map(lambda a: implies(a, a)),
+        st.tuples(sub, sub).map(lambda t: iff(*t)),
     )
 
 
@@ -75,37 +77,11 @@ def test_simplify_is_idempotent(expr, env):
     assert simplify(once) == once
 
 
-@settings(max_examples=120, deadline=None)
-@given(expr=bool_exprs(3), env=ENVS)
-def test_engine_matches_legacy_semantically(expr, env):
-    """The table-driven engine and the legacy pass agree as functions
-    (checked through the compiled evaluator, the hot-path consumer)."""
-    engine_fn = compile_expr(simplify(expr))
-    legacy_fn = compile_expr(legacy_simplify(expr))
-    original = compile_expr(expr)(env)
-    assert bool(engine_fn(env)) == bool(legacy_fn(env)) == bool(original)
-
-
-@settings(max_examples=120, deadline=None)
-@given(expr=bool_exprs(3), env=ENVS)
-def test_deep_simplify_preserves_semantics(expr, env):
-    """The extended rule set (bounds context, chaining, NNF, absorption)
-    is a strictly stronger but still sound simplifier."""
-    assert holds(deep_simplify(expr), env) == holds(expr, env)
-
-
 @settings(max_examples=60, deadline=None)
 @given(expr=bool_exprs(3))
 def test_engine_simplify_idempotent_by_identity(expr):
     once = simplify(expr)
     assert simplify(once) is once
-
-
-@settings(max_examples=60, deadline=None)
-@given(expr=bool_exprs(3))
-def test_deep_simplify_idempotent_by_identity(expr):
-    once = deep_simplify(expr)
-    assert deep_simplify(once) is once
 
 
 @settings(max_examples=60, deadline=None)

@@ -46,6 +46,7 @@ from repro.core.telemetry import (
     snapshot_delta,
 )
 from repro.evaluation import default_learner, run_active
+from repro.expr import BOOL, FALSE, Var, land, lnot, simplify
 from repro.stateflow.library import get_benchmark
 from repro.traces.generate import random_traces
 from repro.traces.io import iter_jsonl
@@ -595,6 +596,34 @@ class TestExport:
         assert "learn-phase share" in text
         assert "sat.solve_calls" in text
         assert "bdd.peak_nodes" in text
+
+    def test_render_profile_ranks_rewrite_rules(self):
+        """The simplifier's per-rule counters reach the profile's
+        rewrite-rule table, ranked by fires."""
+        a = Var("a_profile_rules", BOOL)
+        b = Var("b_profile_rules", BOOL)
+        session = telemetry.start("test")
+        try:
+            assert simplify(land(a, b, lnot(a))) is FALSE
+        finally:
+            telemetry.stop()
+        out = io.StringIO()
+        export_jsonl(session, out)
+        text = render_profile(read_events(out.getvalue().splitlines()))
+        lines = text.splitlines()
+        start = next(
+            i for i, line in enumerate(lines)
+            if line.endswith("rewrite rules (fires/attempts):")
+        )
+        rows = []
+        for line in lines[start + 1:]:
+            if not line.startswith("  "):
+                break
+            name, fires, slash, attempts, _ = line.split()
+            assert slash == "/"
+            rows.append((name, int(fires), int(attempts)))
+        assert rows[0] == ("and_complement", 1, 1)
+        assert ("and_contradiction", 0, 1) in rows
 
 
 # ---------------------------------------------------------------------------

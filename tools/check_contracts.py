@@ -17,8 +17,8 @@ hash-consed expression core and the spawn-based worker pool:
   or ``time.perf_counter``);
 * C006 -- telemetry span names must follow the documented dotted
   lowercase scheme (``"component.phase"``; see docs/observability.md);
-* C007 -- no ad-hoc algebraic rewrites outside the rule table
-  (``expr/rules.py``);
+* C007 -- no ad-hoc algebraic rewrites outside the simplifier
+  (``expr/simplify.py``);
 * C008 -- no environment access (``os.environ``, ``os.getenv``,
   ``os.putenv``) inside the ``repro`` package; spawned workers inherit
   environment knobs silently, so configuration is passed explicitly.
