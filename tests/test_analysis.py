@@ -462,6 +462,17 @@ class TestDeterminism:
 # ---------------------------------------------------------------------------
 
 
+#: A three-class dispatch that rebuilds through smart constructors: the
+#: shape C007 reports outside the simplifier.
+_C007_REWRITE_PASS = (
+    "from repro.expr.ast import And, Not, Or, land, lnot, lor\n\n"
+    "def rewrite(e):\n"
+    "    if isinstance(e, (And, Or, Not)):\n"
+    "        return lnot(lor(land(e)))\n"
+    "    return e\n"
+)
+
+
 class TestContractLinter:
     def test_c001_raw_composite_constructor(self):
         src = (
@@ -579,18 +590,28 @@ class TestContractLinter:
         assert lint_source(src, "s.py") == []
 
     def test_c007_exempt_in_rule_table_modules(self):
-        src = (
-            "from repro.expr.ast import And, Not, Or, land, lnot, lor\n\n"
-            "def rewrite(e):\n"
-            "    if isinstance(e, (And, Or, Not)):\n"
-            "        return lnot(lor(land(e)))\n"
-            "    return e\n"
-        )
+        src = _C007_REWRITE_PASS
         assert lint_source(src, "src/repro/expr/ast.py") == []
         assert lint_source(src, "src/repro/expr/simplify.py") == []
         assert [
             f.code for f in lint_source(src, "src/repro/mc/symbolic.py")
         ] == ["C007"]
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "src/repro/expr/rewrite.py",
+            "src/repro/expr/rules.py",
+            "src/repro/core/conditions.py",
+        ],
+    )
+    def test_c007_points_other_rewrite_passes_at_the_simplifier(self, path):
+        # Only the simplifier and the smart constructors may dispatch on
+        # node classes and rebuild; a second rule table anywhere else,
+        # even beside them under expr/, is reported.
+        findings = lint_source(_C007_REWRITE_PASS, path)
+        assert [f.code for f in findings] == ["C007"]
+        assert "expr/simplify.py" in findings[0].message
 
     def test_c008_environment_access_in_package(self):
         src = (

@@ -10,17 +10,26 @@ from hypothesis import given, settings, strategies as st
 from repro.expr import (
     BOOL,
     Var,
+    add,
+    coerce,
     enum_sort,
     eq,
+    evaluate,
+    free_vars,
     holds,
     iff,
     implies,
     int_sort,
     ite,
     land,
+    le,
     lnot,
     lor,
+    lt,
+    mul,
+    neg,
     simplify,
+    sub,
     substitute_values,
     to_primed,
     to_unprimed,
@@ -54,6 +63,26 @@ def bool_exprs(depth: int):
     )
 
 
+def int_exprs(depth: int):
+    """Linear integer terms over a and b, with Boolean-guarded Ite."""
+    atoms = st.one_of(
+        st.just(A), st.just(B), st.integers(-3, 3).map(coerce)
+    )
+    if depth == 0:
+        return atoms
+    sub_terms = int_exprs(depth - 1)
+    return st.one_of(
+        atoms,
+        st.tuples(sub_terms, sub_terms).map(lambda t: add(*t)),
+        st.tuples(sub_terms, sub_terms).map(lambda t: sub(*t)),
+        sub_terms.map(neg),
+        st.tuples(st.integers(-2, 2), sub_terms).map(lambda t: mul(*t)),
+        st.tuples(bool_exprs(1), sub_terms, sub_terms).map(
+            lambda t: ite(*t)
+        ),
+    )
+
+
 ENVS = st.fixed_dictionaries(
     {
         "a": st.integers(-4, 9),
@@ -82,6 +111,41 @@ def test_simplify_is_idempotent(expr, env):
 def test_engine_simplify_idempotent_by_identity(expr):
     once = simplify(expr)
     assert simplify(once) is once
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    expr=bool_exprs(3),
+    b_fact=st.integers(0, 6),
+    m_fact=st.integers(0, 2),
+    env=ENVS,
+)
+def test_simplify_preserves_semantics_under_conjunct_facts(
+    expr, b_fact, m_fact, env
+):
+    # Sibling x = c conjuncts become facts threaded into ``expr``.
+    whole = land(eq(B, b_fact), eq(M, m_fact), expr)
+    assert holds(simplify(whole), env) == holds(whole, env)
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr=bool_exprs(3))
+def test_simplify_never_adds_free_variables(expr):
+    assert free_vars(simplify(expr)) <= free_vars(expr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lhs=int_exprs(2),
+    rhs=int_exprs(2),
+    env=ENVS,
+)
+def test_simplify_preserves_arithmetic_semantics(lhs, rhs, env):
+    for term in (lhs, rhs):
+        assert evaluate(simplify(term), env) == evaluate(term, env)
+    for compare in (lt, le, eq):
+        atom = compare(lhs, rhs)
+        assert holds(simplify(atom), env) == holds(atom, env)
 
 
 @settings(max_examples=60, deadline=None)

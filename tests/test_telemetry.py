@@ -526,6 +526,31 @@ def _small_session() -> TelemetrySession:
     return session
 
 
+def _render(session, **kwargs):
+    """``render_profile`` over ``session``'s exported events."""
+    out = io.StringIO()
+    export_jsonl(session, out)
+    return render_profile(read_events(out.getvalue().splitlines()), **kwargs)
+
+
+def _rewrite_rule_table(text):
+    """``(rule, fires, attempts)`` rows of a rendered profile's
+    rewrite-rule section, in display order."""
+    lines = text.splitlines()
+    start = next(
+        i for i, line in enumerate(lines)
+        if line.endswith("rewrite rules (fires/attempts):")
+    )
+    rows = []
+    for line in lines[start + 1:]:
+        if not line.startswith("  "):
+            break
+        name, fires, slash, attempts, _ = line.split()
+        assert slash == "/"
+        rows.append((name, int(fires), int(attempts)))
+    return rows
+
+
 class TestExport:
     def test_event_stream_shape(self):
         out = io.StringIO()
@@ -607,23 +632,44 @@ class TestExport:
             assert simplify(land(a, b, lnot(a))) is FALSE
         finally:
             telemetry.stop()
-        out = io.StringIO()
-        export_jsonl(session, out)
-        text = render_profile(read_events(out.getvalue().splitlines()))
-        lines = text.splitlines()
-        start = next(
-            i for i, line in enumerate(lines)
-            if line.endswith("rewrite rules (fires/attempts):")
-        )
-        rows = []
-        for line in lines[start + 1:]:
-            if not line.startswith("  "):
-                break
-            name, fires, slash, attempts, _ = line.split()
-            assert slash == "/"
-            rows.append((name, int(fires), int(attempts)))
+        rows = _rewrite_rule_table(_render(session))
         assert rows[0] == ("and_complement", 1, 1)
         assert ("and_contradiction", 0, 1) in rows
+
+    def test_rewrite_rule_table_orders_by_fires_then_attempts_then_name(self):
+        session = TelemetrySession("test")
+        counters = {
+            "rewrite.rule.beta.fires": 2,
+            "rewrite.rule.beta.attempts": 5,
+            "rewrite.rule.alpha.fires": 2,
+            "rewrite.rule.alpha.attempts": 5,
+            "rewrite.rule.gamma.fires": 2,
+            "rewrite.rule.gamma.attempts": 9,
+            "rewrite.rule.delta.attempts": 40,
+            "rewrite.fixpoint_iterations": 77,
+            "sat.solve_calls": 3,
+        }
+        for name, value in counters.items():
+            session.metrics.inc(name, value)
+        assert _rewrite_rule_table(_render(session)) == [
+            ("gamma", 2, 9),
+            ("alpha", 2, 5),
+            ("beta", 2, 5),
+            ("delta", 0, 40),
+        ]
+
+    def test_rewrite_rule_table_respects_top_and_absence(self):
+        session = TelemetrySession("test")
+        for rule, fires in (("one", 3), ("two", 2), ("three", 1)):
+            session.metrics.inc(f"rewrite.rule.{rule}.fires", fires)
+            session.metrics.inc(f"rewrite.rule.{rule}.attempts", 4)
+        text = _render(session, top=2)
+        assert "top 2 rewrite rules (fires/attempts):" in text
+        assert _rewrite_rule_table(text) == [("one", 3, 4), ("two", 2, 4)]
+        # No rule counters, no section.
+        bare = TelemetrySession("test")
+        bare.metrics.inc("rewrite.fixpoint_iterations", 5)
+        assert "rewrite rules" not in _render(bare)
 
 
 # ---------------------------------------------------------------------------
