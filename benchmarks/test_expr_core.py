@@ -10,6 +10,9 @@ Two measurements, recorded to ``BENCH_expr_core.json``:
    (:func:`repro.expr.compile_expr`).  The compiled path must be at
    least **1.5x** faster (acceptance criterion; in practice it is far
    more).  Single-process, so the assertion needs no CPU-count gating.
+   A third leg times the system's stepping kernel (one generated
+   function for all state variables, the one the simulator runs) over
+   the same environments and checks its values against the tree walk.
 
 2. **Condition extraction under interning**: extracting the
    completeness conditions of a learned launch-abort model, cold
@@ -32,6 +35,7 @@ from repro.core.conditions import extract_conditions
 from repro.evaluation import default_learner
 from repro.expr import compile_expr, evaluate
 from repro.stateflow.library import get_benchmark
+from repro.system.transition_system import StepKernel
 from repro.traces.generate import random_traces
 
 BENCH = "ModelingALaunchAbortSystem"
@@ -96,6 +100,22 @@ def test_compiled_eval_beats_tree_walk_by_1_5x(bench_record):
     assert compiled_values == walked_values  # identical semantics
     speedup = tree_walk_seconds / max(compiled_seconds, 1e-9)
 
+    # The stepping kernel, built fresh so its compilation is timed too.
+    start = time.perf_counter()
+    next_state = StepKernel(system).next_state
+    kernel_tuples = []
+    for _ in range(EVAL_REPEATS):
+        for env in envs:
+            kernel_tuples.append(next_state(env))
+    kernel_seconds = time.perf_counter() - start
+
+    by_name = sorted(
+        range(len(system.state_vars)), key=lambda i: system.state_vars[i].name
+    )
+    kernel_values = [values[i] for values in kernel_tuples for i in by_name]
+    assert kernel_values == walked_values  # identical semantics
+    kernel_speedup = tree_walk_seconds / max(kernel_seconds, 1e-9)
+
     # Condition extraction on a learned model: cold vs memo-warm.
     benchmark = get_benchmark(BENCH)
     traces = random_traces(system, count=10, length=20, seed=3)
@@ -119,6 +139,8 @@ def test_compiled_eval_beats_tree_walk_by_1_5x(bench_record):
         "tree_walk_seconds": round(tree_walk_seconds, 4),
         "compiled_seconds": round(compiled_seconds, 4),
         "compiled_speedup": round(speedup, 3),
+        "kernel_seconds": round(kernel_seconds, 4),
+        "kernel_speedup": round(kernel_speedup, 3),
         "conditions_extracted": len(conditions),
         "cold_extract_seconds": round(cold_extract_seconds, 5),
         "warm_extract_seconds": round(warm_extract_seconds, 5),
@@ -128,7 +150,8 @@ def test_compiled_eval_beats_tree_walk_by_1_5x(bench_record):
     }
     bench_record(RESULT_PATH, record)
     print(f"\ncompiled eval speedup: {speedup:.2f}x "
-          f"(tree-walk {tree_walk_seconds:.3f}s, compiled {compiled_seconds:.3f}s); "
+          f"(tree-walk {tree_walk_seconds:.3f}s, compiled {compiled_seconds:.3f}s, "
+          f"kernel {kernel_seconds:.3f}s, {kernel_speedup:.2f}x); "
           f"condition extraction cold {cold_extract_seconds*1e3:.2f}ms, "
           f"warm {warm_extract_seconds*1e3:.2f}ms")
     assert speedup >= MIN_SPEEDUP, (

@@ -75,17 +75,28 @@ def _missing_var(exc: KeyError, env: Env) -> EvalError:
     )
 
 
-def _count_parents(root: Expr) -> dict[Expr, int]:
-    refs: dict[Expr, int] = {root: 1}
-    for node in walk_unique(root):
-        for child in children(node):
-            refs[child] = refs.get(child, 0) + 1
+def _count_parents(roots: tuple[Expr, ...]) -> dict[Expr, int]:
+    refs: dict[Expr, int] = {}
+    for root in roots:
+        refs[root] = refs.get(root, 0) + 1
+    seen: set[Expr] = set()
+    for root in roots:
+        for node in walk_unique(root):
+            if node in seen:
+                continue
+            seen.add(node)
+            for child in children(node):
+                refs[child] = refs.get(child, 0) + 1
     return refs
 
 
-def _generate(root: Expr) -> str:
-    """Source of a module defining ``_fn(E)`` evaluating ``root``."""
-    refs = _count_parents(root)
+def _generate(roots: Expr | tuple[Expr, ...]) -> str:
+    """Source of a module defining ``_fn(E)`` evaluating ``roots``: one
+    value for a single expression, the tuple of their values for a tuple
+    of them (a subterm shared between roots is evaluated once)."""
+    many = isinstance(roots, tuple)
+    tops = roots if many else (roots,)
+    refs = _count_parents(tops)
     lines: list[str] = []
     names: dict[Expr, str] = {}
 
@@ -101,7 +112,8 @@ def _generate(root: Expr) -> str:
             return name
         return text
 
-    result = emit(root)
+    results = [emit(root) for root in tops]
+    result = "(" + "".join(f"{text}, " for text in results) + ")" if many else results[0]
     body = ["def _fn(E):", "    try:"]
     body.extend(f"        {line}" for line in lines)
     body.append(f"        return {result}")
@@ -154,16 +166,30 @@ def _render(node: Expr, emit: Callable[[Expr], str]) -> str:
     raise TypeError(f"cannot compile node {type(node).__name__}")
 
 
+def _compile(roots: Expr | tuple[Expr, ...], label: str) -> Callable:
+    namespace: dict[str, object] = {"_missing_var": _missing_var}
+    exec(compile(_generate(roots), label, "exec"), namespace)
+    return namespace["_fn"]  # type: ignore[return-value]
+
+
 def compile_expr(expr: Expr) -> Callable[[Env], int]:
     """Compile ``expr`` once into a fast ``fn(env) -> int`` (memoised)."""
     fn = _COMPILED.get(expr.eid)
     if fn is None:
-        source = _generate(expr)
-        namespace: dict[str, object] = {"_missing_var": _missing_var}
-        exec(compile(source, f"<expr-eid-{expr.eid}>", "exec"), namespace)
-        fn = namespace["_fn"]  # type: ignore[assignment]
-        _COMPILED[expr.eid] = fn
+        fn = _COMPILED[expr.eid] = _compile(expr, f"<expr-eid-{expr.eid}>")
     return fn
+
+
+def compile_tuple(
+    roots: tuple[Expr, ...], label: str
+) -> Callable[[Env], tuple[int, ...]]:
+    """Compile ``roots`` into one ``fn(env) -> tuple`` of their values.
+
+    A subterm shared between roots is hoisted once, so it is evaluated
+    once per call however many roots contain it.  Not memoised: the
+    caller keeps the function (a system keeps its stepping kernel).
+    """
+    return _compile(roots, label)
 
 
 def compiled_size() -> int:

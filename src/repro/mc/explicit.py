@@ -14,6 +14,13 @@ counterexample state reachable?" -- with exact yes/no instead of
 yes/no/inconclusive.  DESIGN.md discusses why this substitution preserves
 the algorithm's behaviour; the SAT k-induction engine remains available
 for small ``k`` and for the k-sensitivity ablation.
+
+The BFS steps through the system's compiled stepping kernel
+(:attr:`~repro.system.SymbolicSystem.kernel`) on state tuples: the
+frontier and the table hold tuples in ``state_vars`` order, each
+representative input's primed bindings are built once, and a successor
+is one kernel call.  Observations are built only when a witness leaves
+the engine.
 """
 
 from __future__ import annotations
@@ -68,30 +75,39 @@ class ExplicitReachability:
         return tuple(state[name] for name in self._state_names)
 
     def explore(self) -> None:
-        """Run the BFS (idempotent)."""
+        """Run the BFS (idempotent).
+
+        The frontier holds state tuples.  Each representative input's
+        primed bindings are built once; a state's successors come from
+        one kernel call per input.
+        """
         if self._explored:
             return
         system = self._system
-        initial = system.init_state
-        init_key = self._key(initial)
-        self._table[init_key] = (0, None, None)
-        frontier: deque[tuple[tuple[int, ...], Valuation]] = deque(
-            [(init_key, initial)]
-        )
+        kernel = system.kernel
+        next_state = kernel.next_state
+        state_names = self._state_names
+        steps = [(inputs, inputs.primed()) for inputs in self._inputs]
+        table = self._table
+        init_key = kernel.initial
+        table[init_key] = (0, None, None)
+        frontier: deque[tuple[int, ...]] = deque([init_key])
         while frontier:
-            key, state = frontier.popleft()
-            depth = self._table[key][0]
-            for inputs in self._inputs:
-                next_state = system.step(state, inputs)
-                next_key = self._key(next_state)
-                if next_key in self._table:
+            key = frontier.popleft()
+            next_depth = table[key][0] + 1
+            state = dict(zip(state_names, key))
+            for inputs, primed in steps:
+                env = dict(state)
+                env.update(primed)
+                next_key = next_state(env)
+                if next_key in table:
                     continue
-                if len(self._table) >= self._max_states:
+                if len(table) >= self._max_states:
                     raise StateSpaceLimitExceeded(
                         f"{system.name}: more than {self._max_states} states"
                     )
-                self._table[next_key] = (depth + 1, key, inputs)
-                frontier.append((next_key, next_state))
+                table[next_key] = (next_depth, key, inputs)
+                frontier.append(next_key)
         self._explored = True
 
     # ------------------------------------------------------------------
@@ -150,11 +166,8 @@ class ExplicitReachability:
             steps.append((cursor, inputs))
             cursor = parent
         steps.reverse()
-        observations = []
-        for state_key, inputs in steps:
-            state_vals = dict(zip(self._state_names, state_key, strict=True))
-            observations.append(self._system.observe(state_vals, inputs))
-        return observations
+        observation = self._system.kernel.observation
+        return [observation(inputs, state_key) for state_key, inputs in steps]
 
     def find_observation(
         self, predicate: Callable[[Valuation], bool]
@@ -169,17 +182,15 @@ class ExplicitReachability:
         + diameter) instead of reconstructing a witness per state.
         """
         self.explore()
+        observe = self._system.kernel.observation
         ordered = sorted(self._table.items(), key=lambda kv: kv[1][0])
         for key, (depth, _parent, inputs) in ordered:
             if depth == 0:
                 # Initial state: observations start after the first step.
                 continue
-            state_vals = dict(zip(self._state_names, key, strict=True))
-            observation = self._system.observe(state_vals, inputs)
+            observation = observe(inputs, key)
             if predicate(observation):
-                trace = self.witness(state_vals)
-                assert trace is not None
-                return trace
+                return self.witness(observation)
         return None
 
 

@@ -7,12 +7,17 @@ transition: a concrete run that ends by exercising exactly that
 transition.
 
 Witnesses are found by breadth-first exploration of the compiled system
-using its representative inputs; the compiled firing conditions
-(:class:`~repro.stateflow.chart.CodegenInfo`) identify which chart
-transition a concrete step exercised.  Transitions with no witness
-within the explored space are dead in the implementation (or unreachable
-with the sampled inputs) and are reported separately rather than
-silently dropped.
+using its representative inputs, on state tuples through the system's
+stepping kernel (:attr:`~repro.system.SymbolicSystem.kernel`): one
+kernel call per (state, input).  Each target machine's compiled firing
+conditions (:meth:`~repro.stateflow.chart.CodegenInfo.firing`), tried
+in priority order on the same environment, identify which chart
+transition a concrete step exercised, and observations are built only
+for the witnesses.  The search is the system's own semantics, not the
+learner's or the oracle's.  Transitions with no witness within the
+explored space are dead in the implementation (or unreachable with the
+sampled inputs) and are reported separately rather than silently
+dropped.
 """
 
 from __future__ import annotations
@@ -52,55 +57,53 @@ def ground_truth_witnesses(
     targets: dict[str, Machine] = {
         name: chart.machine_by_name(name) for name in wanted
     }
-    pending: dict[tuple[str, int], None] = {}
-    for name, machine in targets.items():
-        for index in range(len(machine.transitions)):
-            pending[(name, index)] = None
+    total = sum(len(machine.transitions) for machine in targets.values())
     found: dict[tuple[str, int], Trace] = {}
 
-    state_names = system.state_names
-    inputs = system.enumerate_inputs()
-    initial = system.init_state
-    # BFS with parent pointers for witness reconstruction.
+    kernel = system.kernel
+    next_state = kernel.next_state
+    observation = kernel.observation
+    state_names = kernel.state_names
+    steps = [(inputs, inputs.primed()) for inputs in system.enumerate_inputs()]
+    firing = [(name, info.firing(name)) for name in targets]
+    # BFS over state tuples with parent pointers for witness reconstruction.
     table: dict[tuple[int, ...], tuple[tuple[int, ...] | None, Valuation | None]] = {
-        initial.key(state_names): (None, None)
+        kernel.initial: (None, None)
     }
-    frontier: deque[Valuation] = deque([initial])
+    frontier: deque[tuple[int, ...]] = deque([kernel.initial])
 
     def path_to(state_key: tuple[int, ...]) -> list[Valuation]:
-        steps: list[tuple[tuple[int, ...], Valuation]] = []
+        observations: list[Valuation] = []
         cursor = state_key
         while True:
             parent, used_inputs = table[cursor]
             if parent is None:
                 break
-            steps.append((cursor, used_inputs))
+            observations.append(observation(used_inputs, cursor))
             cursor = parent
-        steps.reverse()
-        return [
-            system.observe(dict(zip(state_names, key, strict=True)), used)
-            for key, used in steps
-        ]
+        observations.reverse()
+        return observations
 
-    while frontier and len(found) < len(pending):
-        state = frontier.popleft()
-        state_key = state.key(state_names)
+    while frontier and len(found) < total:
+        state_key = frontier.popleft()
+        state = dict(zip(state_names, state_key))
         prefix: list[Valuation] | None = None
-        for input_valuation in inputs:
-            primed = {f"{k}'": v for k, v in input_valuation.items()}
-            for name in targets:
-                fired = info.fired(name, state.as_dict(), primed)
-                if fired is None:
-                    continue
-                key = (name, fired.index)
-                if key in pending and key not in found:
-                    if prefix is None:
-                        prefix = path_to(state_key)
-                    next_state = system.step(state, input_valuation)
-                    observation = system.observe(next_state, input_valuation)
-                    found[key] = Trace(prefix + [observation])
-            next_state = system.step(state, input_valuation)
-            next_key = next_state.key(state_names)
+        for input_valuation, primed in steps:
+            env = dict(state)
+            env.update(primed)
+            next_key = next_state(env)
+            for name, transitions in firing:
+                for compiled, condition in transitions:
+                    if not condition(env):
+                        continue
+                    key = (name, compiled.index)
+                    if key not in found:
+                        if prefix is None:
+                            prefix = path_to(state_key)
+                        found[key] = Trace(
+                            prefix + [observation(input_valuation, next_key)]
+                        )
+                    break
             if next_key not in table:
                 if len(table) >= max_states:
                     raise RuntimeError(
@@ -108,7 +111,7 @@ def ground_truth_witnesses(
                         f"{max_states} states"
                     )
                 table[next_key] = (state_key, input_valuation)
-                frontier.append(next_state)
+                frontier.append(next_key)
 
     result: dict[str, GroundTruth] = {}
     for name, machine in targets.items():

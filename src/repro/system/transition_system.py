@@ -16,8 +16,14 @@ Hence ``R(v_t, v_{t+1})`` constrains ``state_{t+1} = f(state_t,
 inputs_{t+1})`` and leaves inputs unconstrained.
 
 The same next-state expressions drive both the bit-precise model checker
-and the concrete simulator (:meth:`SymbolicSystem.step` simply evaluates
-them), so the checker and the trace generator can never diverge.
+and the concrete simulator, so the checker and the trace generator can
+never diverge.  The simulator is the system's :class:`StepKernel`: the
+next-state expressions of all state variables compiled into one
+function from an environment to the next-state tuple, built on first
+use.  :meth:`SymbolicSystem.run`, trace generation, the explicit
+engine's BFS and the ground-truth witness search step on state tuples
+through it and build :class:`Valuation` objects only where values leave
+their loops.
 """
 
 from __future__ import annotations
@@ -26,24 +32,15 @@ import itertools
 import random
 from dataclasses import InitVar, dataclass, field
 from dataclasses import fields as dataclass_fields
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..expr.ast import Expr, Var, eq, free_vars, land
+from ..expr.compiled import compile_tuple
 from ..expr.eval import holds
-from ..expr.types import BoolSort, EnumSort, IntSort
-from .valuation import Valuation
+from ..expr.types import sort_values
+from .valuation import Valuation, valuation_schema
 
 InputSampler = Callable[[random.Random], dict[str, int]]
-
-
-def _sort_values(sort) -> list[int]:
-    if isinstance(sort, BoolSort):
-        return [0, 1]
-    if isinstance(sort, IntSort):
-        return list(range(sort.lo, sort.hi + 1))
-    if isinstance(sort, EnumSort):
-        return list(range(sort.cardinality))
-    raise TypeError(f"not a finite sort: {sort!r}")
 
 
 @dataclass
@@ -101,6 +98,12 @@ class SymbolicSystem:
         missing = [v.name for v in self.state_vars if v not in self.next_exprs]
         if missing:
             raise ValueError(f"no next-state expression for {missing}")
+        declared = set(self.state_vars)
+        extra = [v.qualified_name for v in self.next_exprs if v not in declared]
+        if extra:
+            raise ValueError(
+                f"next-state expression for non-state variables {extra}"
+            )
         for var, expr in self.next_exprs.items():
             for ref in free_vars(expr):
                 if ref.primed and ref.name not in input_names:
@@ -124,8 +127,8 @@ class SymbolicSystem:
         """Pickle only the declared fields.
 
         Process-local caches accumulate in ``__dict__`` as the system is
-        used -- compiled step functions (exec-generated, unpicklable)
-        and the shared analysis engines (solvers, BDD managers, huge BFS
+        used -- the stepping kernel (exec-generated, unpicklable) and
+        the shared analysis engines (solvers, BDD managers, huge BFS
         tables).  None of them belong on the wire; everything rebuilds
         lazily on the receiving side.
         """
@@ -180,55 +183,105 @@ class SymbolicSystem:
     # concrete semantics
     # ------------------------------------------------------------------
     @property
-    def _step_fns(self) -> "list[tuple[str, Callable[[Mapping[str, int]], int]]]":
-        """Compiled next-state functions, built once per instance.
+    def kernel(self) -> "StepKernel":
+        """The compiled stepping kernel, built on first use.
 
-        The next-state expressions are interned, so
-        :func:`~repro.expr.compiled.compile_expr` hands back one shared
-        compiled function per distinct expression process-wide; the
-        per-instance list only pins the (name, fn) pairing.  Stored in
-        ``__dict__`` like the shared analysis engines.
+        Stored in ``__dict__`` like the shared analysis engines, so
+        pickling drops it and the receiving side rebuilds it lazily.
         """
-        cached = self.__dict__.get("_compiled_step_fns")
-        if cached is None:
-            from ..expr.compiled import compile_expr
-
-            cached = [
-                (var.name, compile_expr(expr))
-                for var, expr in self.next_exprs.items()
-            ]
-            self.__dict__["_compiled_step_fns"] = cached
-        return cached
+        kernel = self.__dict__.get("_kernel")
+        if kernel is None:
+            kernel = self.__dict__["_kernel"] = StepKernel(self)
+        return kernel
 
     def step(self, state: Mapping[str, int], inputs: Mapping[str, int]) -> Valuation:
         """One step: returns the new state valuation.
 
         ``state`` binds the state variables, ``inputs`` the inputs consumed
         during this step (they appear primed in the next-state expressions).
-        Evaluation uses the compiled next-state functions (identical
-        semantics to :func:`repro.expr.evaluate`, differentially tested).
+        Evaluation goes through the :attr:`kernel`, which agrees with
+        :func:`repro.expr.evaluate` on environments binding every state
+        and input variable (differentially tested).  The kernel evaluates
+        subterms shared between state variables eagerly, so when
+        ``inputs`` leaves a declared input unbound it may raise
+        :class:`~repro.expr.eval.EvalError` even where ``evaluate`` would
+        short-circuit past the read (``docs/expr_core.md``, "Compiled
+        evaluation").
         """
-        env = dict(state)
+        kernel = self.kernel
+        env = state.as_dict() if isinstance(state, Valuation) else dict(state)
         env.update({f"{name}'": value for name, value in inputs.items()})
-        next_state = {name: fn(env) for name, fn in self._step_fns}
-        return Valuation(next_state)
+        return kernel.state_valuation(kernel.next_state(env))
 
     def observe(self, state: Mapping[str, int], inputs: Mapping[str, int]) -> Valuation:
         """Observation ``v_t``: inputs at step t plus the state after step t."""
-        merged = dict(inputs)
-        merged.update(state)
-        return Valuation(merged)
+        kernel = self.kernel
+        state_values = kernel.values(state, kernel.state_names)
+        if state_values is None:
+            merged = dict(inputs)
+            merged.update(state)
+            return Valuation(merged)
+        return kernel.observation(inputs, state_values)
 
     def run(
         self, input_seq: Sequence[Mapping[str, int]]
     ) -> list[Valuation]:
         """Execute from the initial state; returns observations v_1..v_n."""
-        state = self.init_state
-        observations: list[Valuation] = []
-        for inputs in input_seq:
-            state = self.step(state, inputs)
-            observations.append(self.observe(state, inputs))
-        return observations
+        return list(self.iter_run(input_seq))
+
+    def iter_run(self, input_seq: Iterable[Mapping[str, int]]) -> Iterator[Valuation]:
+        """Execute from the initial state, yielding v_1, v_2, ... lazily.
+
+        An input mapping whose keys are exactly the input names (the
+        samplers' output) becomes its observation through the kernel's
+        presorted schema; any other (a hand-written sequence, a custom
+        sampler) is bound and merged as :meth:`step` and :meth:`observe`
+        do, extra keys included.
+        """
+        values = self.kernel.values
+        names = self.input_names
+        return self._execute((values(inputs, names), inputs) for inputs in input_seq)
+
+    def random_run(self, length: int, rng: random.Random) -> list[Valuation]:
+        """``run`` on ``length`` inputs drawn as :meth:`random_inputs`
+        draws them -- the same ``rng.choice`` calls in the same order --
+        without building the input dicts."""
+        tables = self.kernel.tables
+        choice = rng.choice
+        return list(
+            self._execute((tuple(map(choice, tables)), None) for _ in range(length))
+        )
+
+    def _execute(
+        self, steps: Iterable[tuple[tuple[int, ...] | None, Mapping[str, int] | None]]
+    ) -> Iterator[Valuation]:
+        """The one stepping loop behind :meth:`run`, :meth:`iter_run` and
+        :meth:`random_run`.  Each step is the inputs' values in
+        ``input_vars`` order, or None and the inputs mapping to bind.
+
+        One environment dict serves the whole execution: each step
+        writes the primed inputs into it, takes the next state from the
+        kernel and writes that back.
+        """
+        kernel = self.kernel
+        next_state = kernel.next_state
+        observe = kernel.observe_values
+        state_names = kernel.state_names
+        primed_names = kernel.primed_names
+        env = dict(zip(state_names, kernel.initial))
+        for values, inputs in steps:
+            if values is None:
+                # Bind exactly what is given, as step() does.
+                env = {name: env[name] for name in state_names}
+                env.update({f"{name}'": value for name, value in inputs.items()})
+                state = next_state(env)
+                observation = kernel.observation(inputs, state)
+            else:
+                env.update(zip(primed_names, values))
+                state = next_state(env)
+                observation = observe(values + state)
+            env.update(zip(state_names, state))
+            yield observation
 
     def is_execution(self, observations: Sequence[Valuation]) -> bool:
         """True iff the observation sequence is a system execution trace."""
@@ -250,11 +303,13 @@ class SymbolicSystem:
     # input enumeration / sampling
     # ------------------------------------------------------------------
     def random_inputs(self, rng: random.Random) -> dict[str, int]:
-        """Uniformly random input valuation (the paper's random sampling)."""
-        return {
-            var.name: rng.choice(_sort_values(var.sort))
-            for var in self.input_vars
-        }
+        """Uniformly random input valuation (the paper's random sampling).
+
+        One ``rng.choice`` per input, in ``input_vars`` order, over the
+        kernel's value tables.
+        """
+        kernel = self.kernel
+        return dict(zip(kernel.input_names, map(rng.choice, kernel.tables)))
 
     def enumerate_inputs(self, limit: int = 4096) -> list[Valuation]:
         """Representative input valuations for the explicit-state engine.
@@ -266,7 +321,7 @@ class SymbolicSystem:
             return list(self.input_samples)
         if not self.input_vars:
             return [Valuation()]
-        spaces = [_sort_values(var.sort) for var in self.input_vars]
+        spaces = [sort_values(var.sort) for var in self.input_vars]
         total = 1
         for space in spaces:
             total *= len(space)
@@ -284,8 +339,70 @@ class SymbolicSystem:
     def state_space_size(self) -> int:
         total = 1
         for var in self.state_vars:
-            total *= len(_sort_values(var.sort))
+            total *= len(sort_values(var.sort))
         return total
+
+
+class StepKernel:
+    """A system's compiled step: one generated function and the tables
+    every stepping loop needs, each computed once.
+
+    * ``next_state(env)`` maps an environment binding the state
+      variables and the primed inputs to the tuple of next-state values
+      in ``state_vars`` order.  It is generated from all next-state
+      expressions at once, so a subterm shared between state variables
+      (a chart transition's firing condition drives the mode, every
+      action it performs and the dwell counter) is evaluated once.
+    * ``tables`` holds each input's values, in ``input_vars`` order.
+    * ``primed_names`` are the inputs' primed names, in the same order.
+    * ``initial`` is the initial state as a tuple.
+    * ``observe_values`` and ``state_valuation`` build observations and
+      states from value tuples through presorted schemas
+      (:func:`~repro.system.valuation.valuation_schema`).
+    """
+
+    def __init__(self, system: SymbolicSystem):
+        self.input_names = system.input_names
+        self.state_names = system.state_names
+        self.primed_names = tuple(f"{name}'" for name in self.input_names)
+        self.tables = tuple(sort_values(var.sort) for var in system.input_vars)
+        self.initial = tuple(system.init_state[name] for name in self.state_names)
+        self.next_state = compile_tuple(
+            tuple(system.next_exprs[var] for var in system.state_vars),
+            f"<kernel-{system.name}>",
+        )
+        #: Observation from input values followed by state values.
+        self.observe_values = valuation_schema(self.input_names + self.state_names)
+        self.state_valuation = valuation_schema(self.state_names)
+
+    @staticmethod
+    def values(
+        mapping: Mapping[str, int], names: tuple[str, ...]
+    ) -> tuple[int, ...] | None:
+        """``mapping``'s values in ``names`` order, or None unless its
+        keys are exactly ``names``."""
+        if len(mapping) != len(names):
+            return None
+        try:
+            return tuple(map(mapping.__getitem__, names))
+        except KeyError:
+            return None
+
+    def observation(
+        self, inputs: Mapping[str, int], state: tuple[int, ...]
+    ) -> Valuation:
+        """Observation of ``inputs`` and the next-state tuple ``state``.
+
+        Input mappings whose keys are not exactly the input names keep
+        what they bind, extra keys included, through the general
+        constructor.
+        """
+        values = self.values(inputs, self.input_names)
+        if values is None:
+            merged = dict(inputs)
+            merged.update(zip(self.state_names, state))
+            return Valuation(merged)
+        return self.observe_values(values + state)
 
 
 def shared_analysis(

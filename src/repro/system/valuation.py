@@ -9,11 +9,15 @@ for the hash, ordered iteration/equality and the pickle contract.
 :func:`column` and :func:`first_satisfying` read the backing dicts
 directly, for the scans that touch every observation of a trace set:
 ``Valuation.__getitem__`` is a Python-level call per lookup.
+:func:`valuation_schema` builds valuations over a fixed set of names
+from value tuples, sorting the names once instead of every item tuple:
+the stepping kernel's observations and next states are built this way.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
 
 
 class Valuation(Mapping[str, int]):
@@ -81,6 +85,35 @@ class Valuation(Mapping[str, int]):
         """Projection as a plain tuple (fast dict key for BFS)."""
         table = self._dict
         return tuple(table[name] for name in names)
+
+
+def valuation_schema(
+    names: tuple[str, ...],
+) -> Callable[[tuple[int, ...]], Valuation]:
+    """A function making valuations over the distinct ``names`` from
+    value tuples in the same order.
+
+    The names are sorted here, once; each built valuation has the
+    ``_items``, hash, equality and ``__reduce__`` of
+    ``Valuation(dict(zip(names, values)))``, and its lookups keep the
+    order of ``names``.
+    """
+    order = sorted(range(len(names)), key=names.__getitem__)
+    sorted_names = tuple(names[index] for index in order)
+    # itemgetter of one index returns a bare value; a tuple of at most
+    # one value is already in order.
+    pick = itemgetter(*order) if len(order) > 1 else tuple
+    new = Valuation.__new__
+
+    def build(values: tuple[int, ...]) -> Valuation:
+        items = tuple(zip(sorted_names, pick(values)))
+        valuation = new(Valuation)
+        valuation._items = items
+        valuation._dict = dict(zip(names, values))
+        valuation._hash = hash(items)
+        return valuation
+
+    return build
 
 
 def column(valuations: Iterable[Valuation], name: str) -> list[int]:

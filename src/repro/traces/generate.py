@@ -3,6 +3,16 @@
 This is the paper's initial-trace-set construction (§IV-B: "an initial
 set of 50 traces, each of length 50, by executing the system with
 randomly sampled inputs") and the random-sampling baseline (§IV-C).
+Every trace runs through the system's compiled stepping kernel
+(:attr:`SymbolicSystem.kernel <repro.system.SymbolicSystem.kernel>`), on
+one environment dict per trace.  With the default sampler,
+:meth:`SymbolicSystem.random_run
+<repro.system.SymbolicSystem.random_run>` draws each step's inputs as
+value tuples from the kernel's value tables, with exactly the
+``rng.choice`` calls :meth:`SymbolicSystem.random_inputs
+<repro.system.SymbolicSystem.random_inputs>` makes; a custom sampler's
+mappings go through :meth:`SymbolicSystem.run
+<repro.system.SymbolicSystem.run>`.
 
 For the long-trace workload (companion paper, PAPERS.md) the module
 also provides *streaming* generation: :func:`iter_trace` yields
@@ -33,9 +43,9 @@ def random_trace(
     sampler: InputSampler | None = None,
 ) -> Trace:
     """One execution trace of the given length from the initial state."""
-    sample = sampler or system.random_inputs
-    inputs = [sample(rng) for _ in range(length)]
-    return Trace(system.run(inputs))
+    if sampler is None:
+        return Trace(system.random_run(length, rng))
+    return Trace(system.run([sampler(rng) for _ in range(length)]))
 
 
 def random_traces(
@@ -70,14 +80,12 @@ def iter_trace(
 ) -> Iterator[Valuation]:
     """Execute from the initial state, yielding observations lazily.
 
-    Streaming counterpart of ``system.run``: consumes the input
+    Streaming counterpart of ``system.run``, sharing its loop
+    (:meth:`~repro.system.SymbolicSystem.iter_run`): consumes the input
     iterable one step at a time and never materialises the execution,
     so trace length is bounded only by the input stream.
     """
-    state = system.init_state
-    for inputs in input_seq:
-        state = system.step(state, inputs)
-        yield system.observe(state, inputs)
+    return system.iter_run(input_seq)
 
 
 def periodic_inputs(

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.expr import BOOL, Var, holds, int_sort, ite
+from repro.expr import BOOL, Var, eq, holds, int_sort, ite
 from repro.system import Valuation, make_system
 
 
@@ -55,6 +55,17 @@ class TestSystemConstruction:
         x = Var("x", int_sort(0, 1))
         with pytest.raises(ValueError, match="no next-state"):
             make_system("bad", [x], [], {"x": 0}, {})
+
+    def test_next_expr_for_non_state_variable_rejected(self):
+        # Such a system used to construct: step() folded u into the state
+        # and observe() let it shadow the input consumed, so running it on
+        # u = 0, 0, 1 reported u = 1, 1, 1.
+        x = Var("x", int_sort(0, 1))
+        u = Var("u", BOOL)
+        with pytest.raises(ValueError, match="non-state variables \\['u'\\]"):
+            make_system(
+                "bad", [x], [u], {"x": 0}, {x: ite(u.prime(), 1, 0), u: eq(x, 0)}
+            )
 
     def test_state_input_overlap_rejected(self):
         x = Var("x", int_sort(0, 1))
