@@ -30,7 +30,6 @@ C code is both executed for traces and handed to CBMC.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from ..expr.ast import (
@@ -181,45 +180,21 @@ class CompiledTransition:
     condition: Expr
 
 
-#: A machine's transitions in priority order, each with its compiled
-#: firing condition.
-Firing = list[tuple[CompiledTransition, Callable[[Mapping[str, int]], int]]]
-
-
 @dataclass
 class CodegenInfo:
-    """Compilation artefacts beyond the symbolic system itself.
-
-    Each machine's firing conditions are compiled on first use and kept
-    here, in priority order (:meth:`firing`); they are process-local,
-    like a system's stepping kernel.
-    """
+    """Compilation artefacts beyond the symbolic system itself."""
 
     compiled: dict[str, list[CompiledTransition]] = field(default_factory=dict)
-    _firing: dict[str, Firing] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def firing(self, machine: str) -> Firing:
-        """``machine``'s transitions in priority order, each with its
-        compiled firing condition: the first whose condition holds on an
-        environment binding the state and the primed inputs fires."""
-        conditions = self._firing.get(machine)
-        if conditions is None:
-            conditions = self._firing[machine] = [
-                (compiled, compile_expr(compiled.condition))
-                for compiled in self.compiled.get(machine, [])
-            ]
-        return conditions
 
     def fired(
         self, machine: str, state: dict[str, int], primed_inputs: dict[str, int]
     ) -> CompiledTransition | None:
-        """Which transition of ``machine`` fires from this state/input."""
+        """Which transition of ``machine`` fires from this state/input:
+        the first, in priority order, whose compiled condition holds."""
         env = dict(state)
         env.update(primed_inputs)
-        for compiled, condition in self.firing(machine):
-            if condition(env):
+        for compiled in self.compiled.get(machine, []):
+            if compile_expr(compiled.condition)(env):
                 return compiled
         return None
 

@@ -9,11 +9,11 @@ transition.
 Witnesses are found by breadth-first exploration of the compiled system
 using its representative inputs, on state tuples through the system's
 stepping kernel (:attr:`~repro.system.SymbolicSystem.kernel`): one
-kernel call per (state, input).  Each target machine's compiled firing
-conditions (:meth:`~repro.stateflow.chart.CodegenInfo.firing`), tried
-in priority order on the same environment, identify which chart
-transition a concrete step exercised, and observations are built only
-for the witnesses.  The search is the system's own semantics, not the
+kernel call per (state, input).  Each target machine's firing
+conditions (:class:`~repro.stateflow.chart.CodegenInfo`), compiled once
+per search and tried in priority order on the same environment,
+identify which chart transition a concrete step exercised, and
+observations are built only for the witnesses.  The search is the system's own semantics, not the
 learner's or the oracle's.  Transitions with no witness within the
 explored space are dead in the implementation (or unreachable with the
 sampled inputs) and are reported separately rather than silently
@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..automata.compare import TransitionWitness
+from ..expr.compiled import compile_expr
 from ..system.transition_system import SymbolicSystem
 from ..system.valuation import Valuation
 from ..traces.trace import Trace
@@ -65,7 +66,10 @@ def ground_truth_witnesses(
     observation = kernel.observation
     state_names = kernel.state_names
     steps = [(inputs, inputs.primed()) for inputs in system.enumerate_inputs()]
-    firing = [(name, info.firing(name)) for name in targets]
+    firing = [
+        (name, [(c, compile_expr(c.condition)) for c in info.compiled.get(name, [])])
+        for name in targets
+    ]
     # BFS over state tuples with parent pointers for witness reconstruction.
     table: dict[tuple[int, ...], tuple[tuple[int, ...] | None, Valuation | None]] = {
         kernel.initial: (None, None)

@@ -209,19 +209,15 @@ class SymbolicSystem:
         evaluation").
         """
         kernel = self.kernel
-        env = state.as_dict() if isinstance(state, Valuation) else dict(state)
+        env = dict(state)
         env.update({f"{name}'": value for name, value in inputs.items()})
         return kernel.state_valuation(kernel.next_state(env))
 
     def observe(self, state: Mapping[str, int], inputs: Mapping[str, int]) -> Valuation:
         """Observation ``v_t``: inputs at step t plus the state after step t."""
-        kernel = self.kernel
-        state_values = kernel.values(state, kernel.state_names)
-        if state_values is None:
-            merged = dict(inputs)
-            merged.update(state)
-            return Valuation(merged)
-        return kernel.observation(inputs, state_values)
+        merged = dict(inputs)
+        merged.update(state)
+        return Valuation(merged)
 
     def run(
         self, input_seq: Sequence[Mapping[str, int]]
@@ -232,44 +228,23 @@ class SymbolicSystem:
     def iter_run(self, input_seq: Iterable[Mapping[str, int]]) -> Iterator[Valuation]:
         """Execute from the initial state, yielding v_1, v_2, ... lazily.
 
-        An input mapping whose keys are exactly the input names (the
-        samplers' output) becomes its observation through the kernel's
-        presorted schema; any other (a hand-written sequence, a custom
-        sampler) is bound and merged as :meth:`step` and :meth:`observe`
-        do, extra keys included.
-        """
-        values = self.kernel.values
-        names = self.input_names
-        return self._execute((values(inputs, names), inputs) for inputs in input_seq)
-
-    def random_run(self, length: int, rng: random.Random) -> list[Valuation]:
-        """``run`` on ``length`` inputs drawn as :meth:`random_inputs`
-        draws them -- the same ``rng.choice`` calls in the same order --
-        without building the input dicts."""
-        tables = self.kernel.tables
-        choice = rng.choice
-        return list(
-            self._execute((tuple(map(choice, tables)), None) for _ in range(length))
-        )
-
-    def _execute(
-        self, steps: Iterable[tuple[tuple[int, ...] | None, Mapping[str, int] | None]]
-    ) -> Iterator[Valuation]:
-        """The one stepping loop behind :meth:`run`, :meth:`iter_run` and
-        :meth:`random_run`.  Each step is the inputs' values in
-        ``input_vars`` order, or None and the inputs mapping to bind.
-
         One environment dict serves the whole execution: each step
         writes the primed inputs into it, takes the next state from the
-        kernel and writes that back.
+        kernel and writes that back.  An input mapping whose keys are
+        exactly the input names (the samplers' output) becomes its
+        observation through the kernel's presorted schema; any other (a
+        hand-written sequence, a custom sampler) is bound and merged as
+        :meth:`step` and :meth:`observe` do, extra keys included.
         """
         kernel = self.kernel
         next_state = kernel.next_state
+        input_values = kernel.input_values
         observe = kernel.observe_values
         state_names = kernel.state_names
         primed_names = kernel.primed_names
         env = dict(zip(state_names, kernel.initial))
-        for values, inputs in steps:
+        for inputs in input_seq:
+            values = input_values(inputs)
             if values is None:
                 # Bind exactly what is given, as step() does.
                 env = {name: env[name] for name in state_names}
@@ -375,16 +350,14 @@ class StepKernel:
         self.observe_values = valuation_schema(self.input_names + self.state_names)
         self.state_valuation = valuation_schema(self.state_names)
 
-    @staticmethod
-    def values(
-        mapping: Mapping[str, int], names: tuple[str, ...]
-    ) -> tuple[int, ...] | None:
-        """``mapping``'s values in ``names`` order, or None unless its
-        keys are exactly ``names``."""
-        if len(mapping) != len(names):
+    def input_values(self, inputs: Mapping[str, int]) -> tuple[int, ...] | None:
+        """``inputs``' values in ``input_vars`` order, or None unless its
+        keys are exactly the input names."""
+        names = self.input_names
+        if len(inputs) != len(names):
             return None
         try:
-            return tuple(map(mapping.__getitem__, names))
+            return tuple(map(inputs.__getitem__, names))
         except KeyError:
             return None
 
@@ -397,7 +370,7 @@ class StepKernel:
         what they bind, extra keys included, through the general
         constructor.
         """
-        values = self.values(inputs, self.input_names)
+        values = self.input_values(inputs)
         if values is None:
             merged = dict(inputs)
             merged.update(zip(self.state_names, state))

@@ -5,14 +5,11 @@ set of 50 traces, each of length 50, by executing the system with
 randomly sampled inputs") and the random-sampling baseline (§IV-C).
 Every trace runs through the system's compiled stepping kernel
 (:attr:`SymbolicSystem.kernel <repro.system.SymbolicSystem.kernel>`), on
-one environment dict per trace.  With the default sampler,
-:meth:`SymbolicSystem.random_run
-<repro.system.SymbolicSystem.random_run>` draws each step's inputs as
-value tuples from the kernel's value tables, with exactly the
-``rng.choice`` calls :meth:`SymbolicSystem.random_inputs
-<repro.system.SymbolicSystem.random_inputs>` makes; a custom sampler's
-mappings go through :meth:`SymbolicSystem.run
-<repro.system.SymbolicSystem.run>`.
+one environment dict per trace: :meth:`SymbolicSystem.run
+<repro.system.SymbolicSystem.run>` and :func:`iter_trace` share one
+loop.  The default sampler, :meth:`SymbolicSystem.random_inputs
+<repro.system.SymbolicSystem.random_inputs>`, draws from the kernel's
+value tables.
 
 For the long-trace workload (companion paper, PAPERS.md) the module
 also provides *streaming* generation: :func:`iter_trace` yields
@@ -43,9 +40,9 @@ def random_trace(
     sampler: InputSampler | None = None,
 ) -> Trace:
     """One execution trace of the given length from the initial state."""
-    if sampler is None:
-        return Trace(system.random_run(length, rng))
-    return Trace(system.run([sampler(rng) for _ in range(length)]))
+    sample = sampler or system.random_inputs
+    inputs = [sample(rng) for _ in range(length)]
+    return Trace(system.run(inputs))
 
 
 def random_traces(

@@ -226,17 +226,18 @@ def test_input_tables_are_per_input_sorts():
 
 
 @pytest.mark.parametrize("name", ["ModelingACdPlayerradioUsingEnumeratedDataType", "Superstep"])
-def test_default_sampling_equals_sampling_through_random_inputs(name):
+def test_sampled_valuations_step_as_sampled_dicts(name):
+    # Dict samples take the kernel's schema path, Valuation samples the
+    # general bind-and-merge path: both give the same traces and draws.
     system = get_benchmark(name).system
-    default, through = random.Random(7), random.Random(7)
-    assert list(random_traces(system, count=5, length=20, seed=3)) == list(
-        random_traces(system, count=5, length=20, seed=3, sampler=system.random_inputs)
-    )
+    as_dicts, as_valuations = random.Random(7), random.Random(7)
     for _ in range(5):
-        assert system.random_run(20, default) == system.run(
-            [system.random_inputs(through) for _ in range(20)]
+        assert system.run(
+            [system.random_inputs(as_dicts) for _ in range(20)]
+        ) == system.run(
+            [Valuation(system.random_inputs(as_valuations)) for _ in range(20)]
         )
-    assert default.getstate() == through.getstate()
+    assert as_dicts.getstate() == as_valuations.getstate()
 
 
 def test_random_inputs_draw_choice_per_input_in_declared_order():
@@ -291,7 +292,6 @@ def test_kernel_is_built_on_first_use_and_not_pickled():
     bench = get_benchmark.__wrapped__("MealyVendingMachine")  # not the cached build
     system = bench.system
     assert "_kernel" not in system.__dict__
-    assert bench.info._firing == {}
     system.run([system.random_inputs(random.Random(0))])
     assert "_kernel" in system.__dict__
     clone = pickle.loads(pickle.dumps(system))
@@ -319,3 +319,6 @@ def test_fired_uses_each_machines_compiled_conditions_in_priority_order():
             )
             assert info.fired(machine.name, env_state, primed) is expected
         env_state = dict(system.step(env_state, inputs))
+    # The compiled conditions live in compile_expr's memo, not on the
+    # CodegenInfo, which stays picklable.
+    assert pickle.loads(pickle.dumps(info)).compiled.keys() == info.compiled.keys()
