@@ -230,31 +230,32 @@ class SymbolicSystem:
 
         One environment dict serves the whole execution: each step
         writes the primed inputs into it, takes the next state from the
-        kernel and writes that back.  An input mapping whose keys are
-        exactly the input names (the samplers' output) becomes its
-        observation through the kernel's presorted schema; any other (a
-        hand-written sequence, a custom sampler) is bound and merged as
-        :meth:`step` and :meth:`observe` do, extra keys included.
+        kernel and writes that back.  An input mapping that lists exactly
+        the input names in ``input_vars`` order (as :meth:`random_inputs`
+        does) becomes its observation through the kernel's presorted
+        schema; any other (a hand-written sequence, a custom sampler) is
+        bound and merged as :meth:`step` and :meth:`observe` do, extra
+        keys included.
         """
         kernel = self.kernel
         next_state = kernel.next_state
-        input_values = kernel.input_values
         observe = kernel.observe_values
+        input_names = kernel.input_names
         state_names = kernel.state_names
         primed_names = kernel.primed_names
         env = dict(zip(state_names, kernel.initial))
         for inputs in input_seq:
-            values = input_values(inputs)
-            if values is None:
+            if tuple(inputs) == input_names:
+                values = tuple(inputs.values())
+                env.update(zip(primed_names, values))
+                state = next_state(env)
+                observation = observe(values + state)
+            else:
                 # Bind exactly what is given, as step() does.
                 env = {name: env[name] for name in state_names}
                 env.update({f"{name}'": value for name, value in inputs.items()})
                 state = next_state(env)
                 observation = kernel.observation(inputs, state)
-            else:
-                env.update(zip(primed_names, values))
-                state = next_state(env)
-                observation = observe(values + state)
             env.update(zip(state_names, state))
             yield observation
 
@@ -350,32 +351,20 @@ class StepKernel:
         self.observe_values = valuation_schema(self.input_names + self.state_names)
         self.state_valuation = valuation_schema(self.state_names)
 
-    def input_values(self, inputs: Mapping[str, int]) -> tuple[int, ...] | None:
-        """``inputs``' values in ``input_vars`` order, or None unless its
-        keys are exactly the input names."""
-        names = self.input_names
-        if len(inputs) != len(names):
-            return None
-        try:
-            return tuple(map(inputs.__getitem__, names))
-        except KeyError:
-            return None
-
     def observation(
         self, inputs: Mapping[str, int], state: tuple[int, ...]
     ) -> Valuation:
         """Observation of ``inputs`` and the next-state tuple ``state``.
 
-        Input mappings whose keys are not exactly the input names keep
-        what they bind, extra keys included, through the general
-        constructor.
+        Input mappings that do not list exactly the input names in
+        ``input_vars`` order keep what they bind, in their order and
+        extra keys included, through the general constructor.
         """
-        values = self.input_values(inputs)
-        if values is None:
+        if tuple(inputs) != self.input_names:
             merged = dict(inputs)
             merged.update(zip(self.state_names, state))
             return Valuation(merged)
-        return self.observe_values(values + state)
+        return self.observe_values(tuple(inputs.values()) + state)
 
 
 def shared_analysis(

@@ -207,6 +207,21 @@ def test_inputs_as_valuation_or_with_extra_keys():
     assert [obs.project(["u", "x", "y"]) for obs in mixed] == plain
 
 
+def test_inputs_listed_in_another_order_keep_their_order():
+    system = get_benchmark("ModelingALaunchAbortSystem").system
+    rng = random.Random(4)
+    sampled = [system.random_inputs(rng) for _ in range(20)]
+    swapped = [dict(reversed(list(inputs.items()))) for inputs in sampled]
+    declared_run, swapped_run = system.run(sampled), system.run(swapped)
+    assert swapped_run == declared_run
+    width = len(system.input_names)
+    assert width > 1
+    for inputs, obs in zip(swapped, swapped_run, strict=True):
+        assert list(obs.as_dict())[:width] == list(inputs)
+    for obs in declared_run:
+        assert tuple(obs.as_dict())[:width] == system.input_names
+
+
 def test_unbound_declared_input_raises_eval_error():
     system = reordered_system()
     with pytest.raises(EvalError, match="not bound"):
