@@ -190,27 +190,35 @@ def run_random_baseline(
     (spurious counterexamples excluded through an exact engine --
     ``spurious_engine`` picks which, default the explicit table -- so
     the reported α is not depressed by unreachable-state artefacts).
+
+    Traced as ``baseline.run`` over ``traces.generate``,
+    ``baseline.learn`` and ``baseline.check``.  These are not ``loop.*``
+    spans: ``repro profile`` sums every ``loop.learn`` into Table I's
+    ``%Tm``, which is the active rows' figure.
     """
     start = time.monotonic()
     count = max(1, num_observations // trace_length)
-    traces = random_traces(
-        benchmark.system, count=count, length=trace_length, seed=seed
-    )
-    model_learner = learner or default_learner(benchmark, spec)
-    model = model_learner.learn(traces)
-    oracle = make_oracle(
-        benchmark.system,
-        spurious_engine,
-        benchmark.k,
-        respect_k=False,
-        domain_assumption=(
-            reachable_formula(benchmark.system)
-            if guide_with_reachable and spurious_engine == "explicit"
-            else None
-        ),
-        validate=validate,
-    )
-    report = oracle.check_all(extract_conditions(model))
+    with telemetry.span("baseline.run", benchmark=benchmark.name, fsa=spec.name):
+        traces = random_traces(
+            benchmark.system, count=count, length=trace_length, seed=seed
+        )
+        with telemetry.span("baseline.learn"):
+            model_learner = learner or default_learner(benchmark, spec)
+            model = model_learner.learn(traces)
+        with telemetry.span("baseline.check"):
+            oracle = make_oracle(
+                benchmark.system,
+                spurious_engine,
+                benchmark.k,
+                respect_k=False,
+                domain_assumption=(
+                    reachable_formula(benchmark.system)
+                    if guide_with_reachable and spurious_engine == "explicit"
+                    else None
+                ),
+                validate=validate,
+            )
+            report = oracle.check_all(extract_conditions(model))
     elapsed = time.monotonic() - start
     row = BaselineRow(
         benchmark=benchmark.name,

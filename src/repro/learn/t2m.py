@@ -128,15 +128,24 @@ class T2MLearner:
     ) -> None:
         """Fold traces into the mode/edge structures (incremental-safe:
         scanning a delta continues exactly where the full scan left off,
-        so dense mode ids and example orders match a one-shot scan)."""
+        so dense mode ids and example orders match a one-shot scan).
+
+        A sampled trace set repeats most of its observations, and
+        :func:`~repro.traces.generate.random_traces` builds a repeated
+        transition's observation once, so the ``seen`` tests mostly hit
+        by identity.
+        """
         for trace in traces:
             source = _INIT
             for observation in trace:
-                mode = tuple(observation[name] for name in mode_names)
-                if mode not in modes:
-                    modes[mode] = len(modes)
-                target = modes[mode]
-                edges.setdefault((source, mode), _EdgeData()).add(observation)
+                mode = observation.key(mode_names)
+                target = modes.get(mode)
+                if target is None:
+                    target = modes[mode] = len(modes)
+                edge = edges.get((source, mode))
+                if edge is None:
+                    edge = edges[source, mode] = _EdgeData()
+                edge.add(observation)
                 source = target
 
     def _finish(

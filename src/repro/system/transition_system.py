@@ -29,6 +29,7 @@ their loops.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import InitVar, dataclass, field
 from dataclasses import fields as dataclass_fields
@@ -41,6 +42,11 @@ from ..expr.types import sort_values
 from .valuation import Valuation, valuation_schema
 
 InputSampler = Callable[[random.Random], dict[str, int]]
+#: (state tuple, input value tuple) -> (next-state tuple, observation);
+#: see :meth:`SymbolicSystem.iter_run`.
+StepMemo = dict[
+    tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], Valuation]
+]
 
 
 @dataclass
@@ -220,22 +226,41 @@ class SymbolicSystem:
         return Valuation(merged)
 
     def run(
-        self, input_seq: Sequence[Mapping[str, int]]
+        self,
+        input_seq: Sequence[Mapping[str, int]],
+        memo: StepMemo | None = None,
     ) -> list[Valuation]:
-        """Execute from the initial state; returns observations v_1..v_n."""
-        return list(self.iter_run(input_seq))
+        """Execute from the initial state; returns observations v_1..v_n.
 
-    def iter_run(self, input_seq: Iterable[Mapping[str, int]]) -> Iterator[Valuation]:
+        ``memo`` is :meth:`iter_run`'s.
+        """
+        return list(self.iter_run(input_seq, memo))
+
+    def iter_run(
+        self,
+        input_seq: Iterable[Mapping[str, int]],
+        memo: StepMemo | None = None,
+    ) -> Iterator[Valuation]:
         """Execute from the initial state, yielding v_1, v_2, ... lazily.
 
         One environment dict serves the whole execution: each step
-        writes the primed inputs into it, takes the next state from the
-        kernel and writes that back.  An input mapping that lists exactly
+        writes the state and the primed inputs into it and takes the
+        next state from the kernel.  An input mapping that lists exactly
         the input names in ``input_vars`` order (as :meth:`random_inputs`
         does) becomes its observation through the kernel's presorted
         schema; any other (a hand-written sequence, a custom sampler) is
         bound and merged as :meth:`step` and :meth:`observe` do, extra
         keys included.
+
+        ``memo``, when given, maps (state tuple, input value tuple) to
+        (next-state tuple, observation) for the steps on the schema
+        path.  A step found in it skips the kernel call and the
+        observation build and yields the stored, immutable observation
+        again; a step not found is stepped and stored.  One memo serves
+        one system, across as many executions as its caller likes:
+        :func:`~repro.traces.generate.random_traces` shares one across
+        the traces of a sample.  Without one nothing is kept between
+        steps, which streams of any length rely on.
         """
         kernel = self.kernel
         next_state = kernel.next_state
@@ -243,20 +268,30 @@ class SymbolicSystem:
         input_names = kernel.input_names
         state_names = kernel.state_names
         primed_names = kernel.primed_names
-        env = dict(zip(state_names, kernel.initial))
+        state = kernel.initial
+        env: dict[str, int] = {}
         for inputs in input_seq:
             if tuple(inputs) == input_names:
                 values = tuple(inputs.values())
+                if memo is not None:
+                    hit = memo.get((state, values))
+                    if hit is not None:
+                        state, observation = hit
+                        yield observation
+                        continue
+                env.update(zip(state_names, state))
                 env.update(zip(primed_names, values))
-                state = next_state(env)
-                observation = observe(values + state)
+                after = next_state(env)
+                observation = observe(values + after)
+                if memo is not None:
+                    memo[state, values] = after, observation
             else:
                 # Bind exactly what is given, as step() does.
-                env = {name: env[name] for name in state_names}
+                env = dict(zip(state_names, state))
                 env.update({f"{name}'": value for name, value in inputs.items()})
-                state = next_state(env)
-                observation = kernel.observation(inputs, state)
-            env.update(zip(state_names, state))
+                after = next_state(env)
+                observation = kernel.observation(inputs, after)
+            state = after
             yield observation
 
     def is_execution(self, observations: Sequence[Valuation]) -> bool:
@@ -329,7 +364,8 @@ class StepKernel:
       expressions at once, so a subterm shared between state variables
       (a chart transition's firing condition drives the mode, every
       action it performs and the dwell counter) is evaluated once.
-    * ``tables`` holds each input's values, in ``input_vars`` order.
+    * ``tables`` holds each input's values, in ``input_vars`` order, and
+      ``input_points`` is the size of the input space they span.
     * ``primed_names`` are the inputs' primed names, in the same order.
     * ``initial`` is the initial state as a tuple.
     * ``observe_values`` and ``state_valuation`` build observations and
@@ -342,6 +378,7 @@ class StepKernel:
         self.state_names = system.state_names
         self.primed_names = tuple(f"{name}'" for name in self.input_names)
         self.tables = tuple(sort_values(var.sort) for var in system.input_vars)
+        self.input_points = math.prod(map(len, self.tables))
         self.initial = tuple(system.init_state[name] for name in self.state_names)
         self.next_state = compile_tuple(
             tuple(system.next_exprs[var] for var in system.state_vars),

@@ -81,10 +81,9 @@ class Valuation(Mapping[str, int]):
         merged.update(other)
         return Valuation(merged)
 
-    def key(self, names: tuple[str, ...]) -> tuple[int, ...]:
-        """Projection as a plain tuple (fast dict key for BFS)."""
-        table = self._dict
-        return tuple(table[name] for name in names)
+    def key(self, names: Iterable[str]) -> tuple[int, ...]:
+        """Projection as a plain tuple (a fast dict key)."""
+        return tuple(map(self._dict.__getitem__, names))
 
 
 def valuation_schema(

@@ -9,7 +9,10 @@ one environment dict per trace: :meth:`SymbolicSystem.run
 <repro.system.SymbolicSystem.run>` and :func:`iter_trace` share one
 loop.  The default sampler, :meth:`SymbolicSystem.random_inputs
 <repro.system.SymbolicSystem.random_inputs>`, draws from the kernel's
-value tables.
+value tables.  :func:`random_traces` gives that loop one step memo per
+sample (unless the system has more input points than the sample has
+steps), so each distinct (state, inputs) transition of the sample is
+stepped once and its observation is one object wherever it recurs.
 
 For the long-trace workload (companion paper, PAPERS.md) the module
 also provides *streaming* generation: :func:`iter_trace` yields
@@ -26,7 +29,7 @@ import itertools
 import random
 from collections.abc import Callable, Iterable, Iterator
 
-from ..system.transition_system import SymbolicSystem
+from ..system.transition_system import StepMemo, SymbolicSystem
 from ..system.valuation import Valuation
 from .trace import Trace, TraceSet
 
@@ -52,11 +55,33 @@ def random_traces(
     seed: int = 0,
     sampler: InputSampler | None = None,
 ) -> TraceSet:
-    """The paper's default initial trace set: 50 traces of length 50."""
+    """The paper's default initial trace set: 50 traces of length 50.
+
+    The same draws and traces as ``count`` calls of :func:`random_trace`
+    on one ``Random(seed)``, stepped with one memo for the whole sample
+    (:meth:`SymbolicSystem.iter_run
+    <repro.system.SymbolicSystem.iter_run>`), so a repeated
+    transition's observation is one object.  A transition repeats only
+    where its inputs do: a system with more input points than the
+    sample has steps keeps no memo, which would cost it two more
+    objects per stored step and save almost nothing.
+
+    Traced as a ``traces.generate`` span whose ``stepped`` attribute
+    counts the transitions the kernel evaluated: the memo's size, or
+    every step without a memo.
+    """
+    from ..core import telemetry  # lazy: see repro.core.telemetry
+
     rng = random.Random(seed)
+    sample = sampler or system.random_inputs
+    steps = count * length
+    memo: StepMemo | None = {} if system.kernel.input_points <= steps else None
     traces = TraceSet()
-    for _ in range(count):
-        traces.add(random_trace(system, length, rng, sampler))
+    with telemetry.span("traces.generate", traces=count, steps=steps) as generate_span:
+        for _ in range(count):
+            inputs = [sample(rng) for _ in range(length)]
+            traces.add(Trace(system.run(inputs, memo)))
+        generate_span.set(stepped=steps if memo is None else len(memo))
     return traces
 
 

@@ -130,8 +130,14 @@ def load_csv(path: str | Path) -> TraceSet:
 # ----------------------------------------------------------------------
 
 def write_json(traces: TraceSet, out: TextIO) -> None:
+    """Write a trace set as one JSON document.
+
+    Keys are sorted, as in :func:`write_jsonl_events`, so the bytes
+    depend only on the observations' values, not on how each
+    :class:`Valuation` was built.
+    """
     payload = [[obs.as_dict() for obs in trace] for trace in traces]
-    json.dump(payload, out, indent=2)
+    json.dump(payload, out, indent=2, sort_keys=True)
 
 
 def read_json(src: TextIO) -> TraceSet:

@@ -856,3 +856,68 @@ class TestBddCacheProfiling:
         assert snap["counters"]["bdd.cache.ite_misses"] > 0
         assert snap["counters"]["bdd.cache.ite_hits"] > 0
         assert snap["gauges"]["bdd.peak_nodes"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Generation and baseline spans
+# ---------------------------------------------------------------------------
+
+
+class TestGenerationAndBaselineSpans:
+    def test_spans_leave_t_and_tm_to_the_loop(self):
+        """``table1 --baseline`` shape: an active row then a baseline row
+        under one session.  Generation and the baseline's phases get
+        their own spans; ``loop.run`` and ``%Tm`` stay the active row's."""
+        from repro.evaluation import run_random_baseline
+
+        benchmark = get_benchmark("MealyVendingMachine")
+        spec = benchmark.fsas[0]
+        session = telemetry.start("table1")
+        try:
+            out = run_active(
+                benchmark, spec, initial_traces=5, trace_length=10,
+                budget_seconds=30,
+            )
+            run_random_baseline(
+                benchmark, spec, num_observations=500, trace_length=50
+            )
+        finally:
+            telemetry.stop()
+        buffer = io.StringIO()
+        export_jsonl(session, buffer)
+        events = read_events(buffer.getvalue().splitlines())
+        spans = [e for e in events if e["event"] == "span"]
+        by_id = {e["id"]: e for e in spans}
+
+        def children(parent: dict) -> list[str]:
+            return [e["name"] for e in spans if e["parent"] == parent["id"]]
+
+        assert [e["name"] for e in spans if e["parent"] == -1] == [
+            "traces.generate", "loop.run", "eval.score", "baseline.run",
+        ]
+        generated = [e["attrs"] for e in spans if e["name"] == "traces.generate"]
+        assert [(a["traces"], a["steps"]) for a in generated] == [(5, 50), (10, 500)]
+        for attrs in generated:
+            assert 0 < attrs["stepped"] <= attrs["steps"]
+        baseline = next(e for e in spans if e["name"] == "baseline.run")
+        assert children(baseline) == [
+            "traces.generate", "baseline.learn", "baseline.check",
+        ]
+        assert baseline["attrs"] == {"benchmark": benchmark.name, "fsa": spec.name}
+        baseline_checks = [
+            e for e in spans
+            if e["name"] == "oracle.check"
+            and by_id[e["parent"]]["name"] == "baseline.check"
+        ]
+        assert baseline_checks
+        assert all(e["name"] != "loop.learn" for e in spans if e["id"] > baseline["id"])
+
+        run = next(e for e in spans if e["name"] == "loop.run")
+        assert run["t"]["total"] == out.row.time_seconds
+        learn_total = sum(
+            e["t"]["total"] for e in spans
+            if e["name"] == "loop.learn" and e["parent"] == run["id"]
+        )
+        expected_tm = 100.0 * learn_total / run["t"]["total"]
+        assert out.row.percent_learning == pytest.approx(expected_tm)
+        assert f"learn-phase share: {expected_tm:.1f}%" in render_profile(events)
