@@ -1,7 +1,8 @@
 """Shared configuration for the benchmark harness.
 
 Every table and figure of the paper's evaluation has a regenerating
-benchmark module here (see DESIGN.md §4 for the index).  Scales default
+benchmark module here (``test_table1_*.py``, ``test_fig2_climate.py``,
+``test_ablation_*.py``).  Scales default
 to laptop-friendly values and can be raised towards the paper's original
 scales via environment variables:
 

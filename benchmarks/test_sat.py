@@ -12,8 +12,8 @@ runs at 30 traces × 30 steps, seed 0, are run once with every public
 Each log is then replayed on fresh solvers, timing only ``solve``; the
 record keeps, per run, the solve count, the propagations, the seconds
 (the minimum over ``REPLAYS`` replays) and propagations per second.
-Asserted: every replayed solve reports the same verdict, counters and
-unsat core as the recorded run, so the number measured is the speed of
+Asserted: every replayed solve reports the same verdict and counters
+as the recorded run, so the number measured is the speed of
 the very search the program performs.  The speed itself is recorded,
 not asserted; ``perfbench/`` gates wall-clock end to end.
 
@@ -54,7 +54,7 @@ _OPERATIONS = (
 def _summary(result) -> tuple:
     return (
         result.satisfiable, result.conflicts_delta, result.decisions_delta,
-        result.propagations_delta, result.unsat_core,
+        result.propagations_delta,
     )
 
 

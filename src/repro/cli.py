@@ -16,6 +16,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .automata import to_dot, to_text
@@ -28,7 +29,6 @@ from .core import (
 )
 from .core import telemetry
 from .evaluation import run_active, run_random_baseline
-from .expr.printer import to_str
 from .mc.spurious import SPURIOUS_ENGINES
 from .stateflow.benchmark import Benchmark, FsaSpec
 from .stateflow.library import benchmark_names, get_benchmark
@@ -110,7 +110,6 @@ def _do_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         budget_seconds=args.budget,
         spurious_engine=args.engine,
-        use_session=args.session,
         segment_length=args.segment_length,
         segment_overlap=args.segment_overlap,
     )
@@ -118,9 +117,8 @@ def _do_run(args: argparse.Namespace) -> int:
     print(TableRow.HEADER)
     print(out.row.format())
     result = out.result
-    mode = "session" if result.session_mode else "stateless"
     print(
-        f"learning ({mode}): cold {result.cold_learn_seconds:.3f}s, "
+        f"learning: cold {result.cold_learn_seconds:.3f}s, "
         f"warm {result.warm_learn_seconds:.3f}s over "
         f"{result.warm_iterations}/{result.iterations} warm iteration(s)"
     )
@@ -135,12 +133,6 @@ def _do_run(args: argparse.Namespace) -> int:
     if out.result.invariants and args.invariants:
         print("\nInvariants:")
         print(render_invariants(out.result.invariants))
-    if out.result.proved_invariant is not None:
-        print(
-            "\nIC3 proved inductive invariant (over-approximates the "
-            "reachable states):"
-        )
-        print(f"  {to_str(out.result.proved_invariant)}")
     if args.dot:
         with open(args.dot, "w") as handle:
             handle.write(
@@ -232,7 +224,6 @@ def _do_table1(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 budget_seconds=args.budget,
                 spurious_engine=args.engine,
-                use_session=args.session,
                 segment_length=args.segment_length,
                 segment_overlap=args.segment_overlap,
             )
@@ -279,10 +270,8 @@ _ENGINE_HELP = (
     "spuriousness engine for counterexample classification (Fig. 3b): "
     "'explicit' (default; exact BFS over representative inputs), 'bdd' "
     "(exact symbolic fixpoint), 'kinduction' (the literal bounded paper "
-    "check; can report inconclusive), 'ic3' (unbounded IC3/PDR proofs; "
-    "never inconclusive, no k to choose, prints the proved inductive "
-    "invariant) or 'none' (treat every counterexample as valid). See "
-    "docs/engines.md."
+    "check; can report inconclusive) or 'none' (treat every "
+    "counterexample as valid). See docs/engines.md."
 )
 
 
@@ -292,15 +281,6 @@ _SEGMENT_HELP = (
     "unify the per-segment models by overlap splicing (default: off = "
     "monolithic learning). See "
     "docs/long_traces.md."
-)
-
-
-_SESSION_HELP = (
-    "learn through an incremental learner session (default): the trace "
-    "set only grows, so each iteration extends the learner's persistent "
-    "state (APT + SAT solver, merge structures) with the new traces "
-    "instead of re-learning from scratch; --no-session forces a fresh "
-    "learn() per iteration (identical models, more learning time)"
 )
 
 
@@ -326,12 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine", choices=SPURIOUS_ENGINES, default="explicit",
         help=_ENGINE_HELP,
-    )
-    run.add_argument(
-        "--session",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=_SESSION_HELP,
     )
     run.add_argument(
         "--segment-length", type=int, default=None, help=_SEGMENT_HELP
@@ -415,12 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--baseline", action="store_true")
     table.add_argument("--observations", type=int, default=20_000)
     table.add_argument(
-        "--session",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=_SESSION_HELP,
-    )
-    table.add_argument(
         "--segment-length", type=int, default=None, help=_SEGMENT_HELP
     )
     table.add_argument(
@@ -459,10 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # Surface a closed pipe here rather than at interpreter exit.
+        sys.stdout.flush()
+        return code
     except _UnknownNameError as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (`repro list | head -1`).  Python flushes
+        # stdout again at exit; pointing it at devnull keeps that flush
+        # quiet (the SIGPIPE recipe in Python's `signal` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..automata.nfa import SymbolicNFA
-from ..expr.ast import Expr
 from ..learn.base import LearnerSession, ModelLearner, start_session
 from ..mc.explicit import reachable_formula, shared_reachability
 from ..system.transition_system import SymbolicSystem
@@ -69,11 +68,6 @@ class ActiveLearningResult:
     iterations: int
     records: list[IterationRecord] = field(default_factory=list)
     invariants: list[Invariant] = field(default_factory=list)
-    #: Inductive invariant accumulated by a proof-based spuriousness
-    #: engine (``spurious_engine="ic3"``): the conjunction of every
-    #: frame clause IC3 converged on while classifying counterexamples.
-    #: None for the other engines.
-    proved_invariant: "Expr | None" = None
     total_seconds: float = 0.0
     learn_seconds: float = 0.0
     check_seconds: float = 0.0
@@ -81,7 +75,6 @@ class ActiveLearningResult:
     converged: bool = False
     final_trace_count: int = 0
     recorded_inconclusive: int = 0
-    session_mode: bool = False
 
     @property
     def num_states(self) -> int:
@@ -121,16 +114,22 @@ class ActiveLearner:
         The implementation ``S`` (grey-box: simulated for traces,
         model-checked for conditions).
     learner:
-        Pluggable model-learning component (§II-B contract).
+        Pluggable model-learning component (§II-B contract), driven
+        through a :class:`~repro.learn.base.LearnerSession`.  The trace
+        set only ever grows across iterations, so a native session
+        re-learns incrementally from the per-iteration delta (persistent
+        merge structures for T2M/k-tails, APT + SAT solver for SAT-DFA);
+        learners without one run through
+        :class:`~repro.learn.base.FreshLearnSession`, one fresh
+        ``learn()`` per iteration.  Both give the same models
+        (``tests/test_session_equivalence.py``).
     k:
         Fig. 3b bound for counterexample-validity checks, assumed known
         a priori per benchmark (§IV-B), cf. Table I's ``k`` column.
     spurious_engine:
         ``"explicit"`` (exact reachability oracle; default), ``"bdd"``
         (exact symbolic reachability via BDD image computation),
-        ``"kinduction"`` (the literal Fig. 3b SAT check), ``"ic3"``
-        (unbounded IC3/PDR proofs: never inconclusive, no ``k``
-        sensitivity, generalized spurious exclusions) or ``"none"``
+        ``"kinduction"`` (the literal Fig. 3b SAT check) or ``"none"``
         (skip the check; every counterexample treated as valid).  See
         ``docs/engines.md``.
     respect_k:
@@ -161,17 +160,6 @@ class ActiveLearner:
         deterministic reference mode (see
         :class:`~repro.core.oracle.CompletenessOracle`); off by default
         because minimisation costs extra solver probes.
-    use_session:
-        Learn through a :class:`~repro.learn.base.LearnerSession`
-        (default).  The trace set only ever grows across iterations, so
-        sessions re-learn incrementally from the per-iteration delta --
-        a persistent APT + SAT solver for the SAT-DFA learner,
-        persistent merge structures for T2M/k-tails -- instead of from
-        scratch; the per-iteration models are the same either way
-        (differentially tested), only the learning time changes.
-        Learners without a native session run through the stateless
-        adapter, which reproduces the pre-session behaviour exactly.
-        ``False`` forces a plain ``learn()`` call every iteration.
     validate:
         Run the static analyzer over the system up front and over every
         condition before it is model-checked.  ERROR findings raise
@@ -192,7 +180,6 @@ class ActiveLearner:
         max_strengthenings: int = 100,
         guide_with_reachable: bool = False,
         canonical_counterexamples: bool = False,
-        use_session: bool = True,
         validate: bool = False,
     ):
         self._system = system
@@ -200,7 +187,6 @@ class ActiveLearner:
         self._k = k
         self._max_iterations = max_iterations
         self._budget_seconds = budget_seconds
-        self._use_session = use_session
         domain_assumption = None
         if guide_with_reachable:
             if spurious_engine != "explicit":
@@ -297,16 +283,12 @@ class ActiveLearner:
 
         for index in range(1, self._max_iterations + 1):
             with tracer.span("loop.learn", iteration=index) as learn_span:
-                if self._use_session:
-                    if session is None:
-                        session = start_session(self._learner, traces)
-                        model = session.model
-                    else:
-                        model = session.add_traces(delta)
-                    warm_start = session.warm
+                if session is None:
+                    session = start_session(self._learner, traces)
+                    model = session.model
                 else:
-                    model = self._learner.learn(traces)
-                    warm_start = False
+                    model = session.add_traces(delta)
+                warm_start = session.warm
                 learn_span.set(warm=warm_start, states=model.num_states)
             learn_elapsed = learn_span.total_seconds
             learn_total += learn_elapsed
@@ -378,9 +360,6 @@ class ActiveLearner:
                 if converged
                 else []
             )
-        proved_invariant = getattr(
-            self._oracle.spurious_checker, "proved_invariant", None
-        )
         # total_seconds is stamped by run() from the enclosing loop.run
         # span once it closes; learn/check splits come from the per-
         # iteration spans accumulated above.
@@ -390,12 +369,10 @@ class ActiveLearner:
             iterations=len(records),
             records=records,
             invariants=invariants,
-            proved_invariant=proved_invariant,
             learn_seconds=learn_total,
             check_seconds=check_total,
             timed_out=timed_out,
             converged=converged,
             final_trace_count=len(traces),
             recorded_inconclusive=inconclusive_total,
-            session_mode=self._use_session,
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..expr.ast import Expr, land
+from ..expr.ast import Expr
 from ..mc.condition_check import IncrementalConditionChecker
 from ..mc.harness import strengthened_assumption
 from ..mc.spurious import SpuriousnessChecker, build_spurious_checker
@@ -120,7 +120,7 @@ class CompletenessOracle:
         make every outcome a pure function of the condition --
         independent of solver history, condition order and process hash
         seed -- which makes this the deterministic reference mode the
-        golden, reachable-guidance and ic3 suites compare against.  Off
+        golden and reachable-guidance suites compare against.  Off
         by default: minimisation costs extra solver probes per
         counterexample (an order of magnitude more check time on
         churn-heavy workloads; see ``docs/engines.md``).
@@ -280,8 +280,12 @@ class CompletenessOracle:
             else:
                 verdict = self._spurious.classify(v_t, self._k)
             if verdict is SpuriousVerdict.SPURIOUS:
+                # The paper's blind strengthening ``r ∧ ¬s'``: exclude
+                # exactly the one counterexample state.
                 spurious_excluded += 1
-                assumption = self._strengthen(assumption, v_t)
+                assumption = strengthened_assumption(
+                    assumption, system, v_t, self._state_only
+                )
                 continue
             return ConditionOutcome(
                 condition=condition,
@@ -292,34 +296,6 @@ class CompletenessOracle:
                 spurious_excluded=spurious_excluded,
                 solver_checks=solver_checks,
             )
-
-    @property
-    def spurious_checker(self) -> SpuriousnessChecker | None:
-        """The live Fig. 3b strategy (for invariant reporting)."""
-        return self._spurious
-
-    def _strengthen(self, assumption: Expr, v_t: Valuation) -> Expr:
-        """Next assumption after a SPURIOUS verdict.
-
-        The paper's blind strengthening is ``r ∧ ¬s'``: exclude exactly
-        the one counterexample state.  A proof engine can do better --
-        :class:`~repro.mc.ic3.Ic3Spuriousness` exposes the generalized
-        blocking clause of its unreachability proof (an unsat-core-driven
-        *region* of unreachable states containing ``v_t``), and
-        conjoining that clause rules out the whole region in one round.
-        Canonical mode sticks to the blind exclusion: the generalized
-        clause depends on the engine's proof history, and canonical
-        outcomes must stay pure functions of the condition.
-        """
-        if not self._canonical:
-            supplier = getattr(self._spurious, "spurious_exclusion", None)
-            if supplier is not None:
-                exclusion = supplier()
-                if exclusion is not None:
-                    return land(assumption, exclusion)
-        return strengthened_assumption(
-            assumption, self._system, v_t, self._state_only
-        )
 
     def check_all(
         self, conditions: list[Condition], deadline: float | None = None

@@ -78,7 +78,6 @@ def run_active(
     spurious_engine: str = "explicit",
     max_iterations: int = 50,
     guide_with_reachable: bool = True,
-    use_session: bool = True,
     validate: bool = True,
     segment_length: int | None = None,
     segment_overlap: int = 1,
@@ -94,11 +93,10 @@ def run_active(
     meet no spurious counterexample and never hit the strengthening
     cap: each condition is one solve.
 
-    ``use_session`` (default) re-learns incrementally across iterations
-    through a learner session; the per-iteration records then carry
-    ``warm_start`` flags so Table I's ``%Tm`` can be split into cold vs
-    warm shares (``result.cold_learn_seconds`` /
-    ``result.warm_learn_seconds``).
+    The loop re-learns incrementally across iterations through a
+    learner session; the per-iteration records carry ``warm_start``
+    flags so Table I's ``%Tm`` can be split into cold vs warm shares
+    (``result.cold_learn_seconds`` / ``result.warm_learn_seconds``).
     ``validate`` (default on -- the runners are the untrusted-spec
     boundary) statically analyzes the system and every extracted
     condition before any solver sees them, raising
@@ -130,7 +128,6 @@ def run_active(
         budget_seconds=budget_seconds,
         max_iterations=max_iterations,
         guide_with_reachable=guide_with_reachable and spurious_engine == "explicit",
-        use_session=use_session,
         validate=validate,
     ) as active:
         result = active.run(traces)

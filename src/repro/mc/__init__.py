@@ -24,13 +24,6 @@ from .harness import (
     spurious_harness,
     strengthened_assumption,
 )
-from .ic3 import (
-    Ic3Engine,
-    Ic3Result,
-    Ic3Spuriousness,
-    Ic3Stats,
-    shared_ic3,
-)
 from .kinduction import (
     KInductionEngine,
     k_induction,
@@ -71,10 +64,6 @@ __all__ = [
     "BmcResult",
     "BoundedModelChecker",
     "ConditionCheckResult",
-    "Ic3Engine",
-    "Ic3Result",
-    "Ic3Spuriousness",
-    "Ic3Stats",
     "IncrementalUnroller",
     "KInductionEngine",
     "ExplicitReachability",
@@ -96,7 +85,6 @@ __all__ = [
     "build_transition_partition",
     "reachable_formula",
     "shared_bdd_context",
-    "shared_ic3",
     "shared_kinduction",
     "shared_reachability",
     "shared_symbolic_reachability",

@@ -11,9 +11,13 @@ emits guard-boundary samples; see ``repro.stateflow.codegen``).
 
 The engine answers the same question k-induction answers -- "is this
 counterexample state reachable?" -- with exact yes/no instead of
-yes/no/inconclusive.  DESIGN.md discusses why this substitution preserves
-the algorithm's behaviour; the SAT k-induction engine remains available
-for small ``k`` and for the k-sensitivity ablation.
+yes/no/inconclusive, but over the representative input samples, whereas
+the condition query and k-induction leave inputs free over their sorts.
+The substitution does not always preserve the algorithm's behaviour: on
+RedundantSensorPair the sampled BFS reaches 35 states and the full input
+space 819 (pinned in ``tests/test_symbolic_reach.py``).  ROADMAP's
+semantics item closes that gap.  The SAT k-induction engine remains
+available for small ``k`` and for the k-sensitivity ablation.
 
 The BFS steps through the system's compiled stepping kernel
 (:attr:`~repro.system.SymbolicSystem.kernel`) on state tuples: the

@@ -23,11 +23,9 @@ Two engines implement this interface:
     inconclusive, unreachable → spurious.  With ``respect_k=False`` it is
     a strictly stronger oracle that never returns inconclusive.
 
-Two more engines live in their own modules and register here by name:
+A third engine lives in its own module and registers here by name:
 :class:`~repro.mc.symbolic.SymbolicSpuriousness` (``"bdd"``, exact BDD
-fixpoint) and :class:`~repro.mc.ic3.Ic3Spuriousness` (``"ic3"``,
-unbounded IC3/PDR proofs -- never inconclusive, no ``k`` to choose, and
-verdicts agree with ``"explicit"`` under ``respect_k=False``).
+fixpoint).
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ class KInductionSpuriousness:
 #: Engine names accepted by :func:`build_spurious_checker` (and therefore
 #: by every oracle/learner constructor that takes a ``spurious_engine``).
 #: See ``docs/engines.md`` for when each wins.
-SPURIOUS_ENGINES = ("explicit", "bdd", "kinduction", "ic3", "none")
+SPURIOUS_ENGINES = ("explicit", "bdd", "kinduction", "none")
 
 
 def build_spurious_checker(
@@ -111,9 +109,9 @@ def build_spurious_checker(
     The name-based factory backs :func:`~repro.core.oracle.make_oracle`
     and the CLI's ``--engine`` flag.  Every stateful engine is shared
     per-system (``shared_reachability`` / ``shared_kinduction`` /
-    ``shared_ic3`` / ``shared_symbolic_reachability``), so repeated
-    construction over one system instance reuses the explored tables,
-    unrollings, frames and learned clauses instead of rebuilding them.
+    ``shared_symbolic_reachability``), so repeated construction over one
+    system instance reuses the explored tables, unrollings and learned
+    clauses instead of rebuilding them.
     """
     if engine == "explicit":
         from .explicit import shared_reachability
@@ -131,10 +129,6 @@ def build_spurious_checker(
         return KInductionSpuriousness(
             system, state_only=state_only, engine=shared_kinduction(system)
         )
-    if engine == "ic3":
-        from .ic3 import Ic3Spuriousness, shared_ic3
-
-        return Ic3Spuriousness(system, engine=shared_ic3(system))
     if engine == "none":
         return None
     raise ValueError(unknown_engine_message(engine))

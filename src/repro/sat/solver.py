@@ -19,11 +19,7 @@ many queries while learned clauses, watch lists, saved phases and VSIDS
 activity survive between calls.  ``add_clause`` may be called between
 solves, and clauses can be registered under *retractable groups*
 (activation literals) so a whole block of constraints can be switched
-off permanently with :meth:`Solver.retract_group`.  An UNSAT answer
-under assumptions additionally reports the subset of assumptions that
-was actually used (:attr:`SolveResult.unsat_core`, via MiniSat-style
-final-conflict analysis) -- the primitive behind IC3 cube
-generalization and the oracle's proof-driven assumption strengthening.
+off permanently with :meth:`Solver.retract_group`.
 
 Because instances now live for entire active-learning *runs* (learner
 sessions and the incremental condition checkers keep one solver hot
@@ -113,22 +109,13 @@ class _LearnedClause(list):
 
 @dataclass
 class SolveResult:
-    """Outcome of a solver run.
-
-    ``unsat_core`` is ``None`` on satisfiable results.  On UNSAT results
-    it is the subset of the *caller's* assumption literals actually used
-    to derive the contradiction (MiniSat's final-conflict analysis), in
-    the order they were passed; solving again under just the core stays
-    UNSAT.  An empty tuple means the formula itself (together with any
-    active clause groups) is contradictory and no assumption was needed.
-    """
+    """Outcome of a solver run."""
 
     satisfiable: bool
     model: dict[int, bool] = field(default_factory=dict)
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
-    unsat_core: tuple[int, ...] | None = None
     # Per-call attribution: the ``conflicts``/``decisions``/
     # ``propagations`` fields above are cumulative since solver
     # construction (session solvers live for whole runs), so the
@@ -567,61 +554,6 @@ class Solver:
         self.rescale_var_activity()
 
     # ------------------------------------------------------------------
-    # final-conflict analysis (unsat cores under assumptions)
-    # ------------------------------------------------------------------
-    def _final_core(
-        self, failed_lit: int, assumptions: Sequence[int]
-    ) -> tuple[int, ...]:
-        """MiniSat's ``analyzeFinal``: assumptions implying ``¬failed_lit``.
-
-        Called while the trail still holds the propagations that
-        falsified the pending assumption ``failed_lit``.  Walks the
-        implication graph backwards from the falsifying literal,
-        collecting every assumption *decision* met on the way (in the
-        assumption phase every decision is an assumption literal,
-        enqueued exactly as passed).  The result is filtered to the
-        caller's assumptions -- group activation literals stay internal
-        -- and ordered as the caller passed them, so cores are
-        deterministic for a given solver state.
-        """
-        core = {failed_lit}
-        levels = self._level
-        var0 = failed_lit if failed_lit > 0 else -failed_lit
-        # Falsified at level 0 means the formula alone implies the
-        # negation: the core is the failed assumption by itself.
-        if levels[var0] > 0 and self._trail_lim:
-            trail = self._trail
-            reasons = self._reason
-            seen = {var0}
-            bound = self._trail_lim[0]
-            # Reason literals sit below the literal they imply, so the
-            # walk starts at ``¬failed_lit`` and ends once nothing is
-            # pending.
-            for index in range(trail.index(-failed_lit, bound), bound - 1, -1):
-                lit = trail[index]
-                var = lit if lit > 0 else -lit
-                if var not in seen:
-                    continue
-                seen.discard(var)
-                reason = reasons[var]
-                if reason is None:
-                    core.add(lit)
-                else:
-                    for q in reason:
-                        other = q if q > 0 else -q
-                        if other != var and levels[other] > 0:
-                            seen.add(other)
-                if not seen:
-                    break
-        ordered: list[int] = []
-        picked: set[int] = set()
-        for lit in assumptions:
-            if lit in core and lit not in picked:
-                ordered.append(lit)
-                picked.add(lit)
-        return tuple(ordered)
-
-    # ------------------------------------------------------------------
     # decisions
     # ------------------------------------------------------------------
     def _pick_branch_var(self) -> int:
@@ -671,11 +603,11 @@ class Solver:
             if abs(lit) > self._num_vars:
                 self.ensure_vars(abs(lit))
         if not self._ok:
-            return self._result(False, unsat_core=())
+            return self._result(False)
         self._backtrack(0)
         if self._propagate() is not None:
             self._ok = False
-            return self._result(False, unsat_core=())
+            return self._result(False)
         restart_count = 0
         conflicts_since_restart = 0
         restart_budget = 64 * luby(1)
@@ -686,7 +618,7 @@ class Solver:
                 conflicts_since_restart += 1
                 if not self._trail_lim:
                     self._ok = False
-                    return self._result(False, unsat_core=())
+                    return self._result(False)
                 learned, back_level = self._analyze(conflict)
                 # LBD must be read off the pre-backtrack levels.
                 lbd = len({
@@ -716,11 +648,8 @@ class Solver:
                     self._trail_lim.append(len(self._trail))
                 elif value == -1:
                     # Assumptions conflict with the formula (or each
-                    # other): UNSAT *under assumptions* only.  The final
-                    # conflict is analyzed before backtracking (the core
-                    # walk needs the falsifying trail intact).
-                    core = self._final_core(next_assumed, assumptions)
-                    result = self._result(False, unsat_core=core)
+                    # other): UNSAT *under assumptions* only.
+                    result = self._result(False)
                     self._backtrack(0)
                     return result
                 else:
@@ -737,11 +666,7 @@ class Solver:
             self._trail_lim.append(len(self._trail))
             self._enqueue(lit, None)
 
-    def _result(
-        self,
-        satisfiable: bool,
-        unsat_core: tuple[int, ...] | None = None,
-    ) -> SolveResult:
+    def _result(self, satisfiable: bool) -> SolveResult:
         model = {}
         if satisfiable:
             val = self._val
@@ -753,7 +678,6 @@ class Solver:
             conflicts=self.conflicts,
             decisions=self.decisions,
             propagations=self.propagations,
-            unsat_core=unsat_core,
             conflicts_delta=self.conflicts - base_c,
             decisions_delta=self.decisions - base_d,
             propagations_delta=self.propagations - base_p,

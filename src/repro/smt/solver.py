@@ -19,7 +19,7 @@ one literal for a fresh n-ary AND gate.  The Fig. 3b strengthening loop
 re-checks ``r ∧ ¬s'_1 ∧ … ∧ ¬s'_n`` after every spurious counterexample;
 each conjunct is memoised by node, so round n encodes only its new
 ``¬s'_n`` and a condition costs O(R) clauses over R rounds instead of
-O(R²).  Unsat cores of scoped assertions therefore name conjuncts.
+O(R²).
 """
 
 from __future__ import annotations
@@ -46,15 +46,10 @@ class SmtSolver:
         self._solver = Solver()
         self._fed_clauses = 0
         # Stack of open scopes: each holds the assumption literals of its
-        # scoped assertions plus the first assertion that encoded to
-        # constant false (None while the scope is satisfiable).
-        self._scopes: list[tuple[list[int], Expr | None]] = []
+        # scoped assertions and whether one of them encoded to constant
+        # false.
+        self._scopes: list[tuple[list[int], bool]] = []
         self._last_model: dict[str, int] | None = None
-        # Which Expr each assumption literal stands for, so unsat cores
-        # decode back to the conjuncts the caller asserted/guarded.
-        self._lit_exprs: dict[int, Expr] = {}
-        self._last_core: tuple[int, ...] | None = None
-        self._last_core_exprs: tuple[Expr, ...] | None = None
         self.stats = {"checks": 0, "conflicts": 0, "decisions": 0}
 
     @property
@@ -90,14 +85,12 @@ class SmtSolver:
         """Add ``expr`` to the innermost scope's assumption literals."""
         lit = self._encoder.encode_literal(expr)
         const = self._encoder.gates.is_const(lit)
-        lits, unsat = self._scopes[-1]
+        lits, _unsat = self._scopes[-1]
         if const is True:
             return
         if const is False:
-            if unsat is None:
-                self._scopes[-1] = (lits, expr)
+            self._scopes[-1] = (lits, True)
             return
-        self._lit_exprs.setdefault(lit, expr)
         lits.append(lit)
 
     def literal(self, expr: Expr) -> int:
@@ -108,16 +101,13 @@ class SmtSolver:
         a single query.  Unlike scoped assertions, guard literals are
         caller-managed, which lets consumers keep stable per-constraint
         switches across many scopes (e.g. the unroller's per-frame
-        transition guards, or IC3's frame activations and cube
-        conjuncts).
+        transition guards).
         """
-        lit = self._encoder.encode_literal(expr)
-        self._lit_exprs.setdefault(lit, expr)
-        return lit
+        return self._encoder.encode_literal(expr)
 
     def push(self) -> None:
         """Open a retractable assertion scope."""
-        self._scopes.append(([], None))
+        self._scopes.append(([], False))
 
     def pop(self) -> None:
         """Drop the innermost scope and its assertions."""
@@ -149,22 +139,15 @@ class SmtSolver:
         """True iff the asserted constraints are satisfiable.
 
         ``assuming`` adds guard literals from :meth:`literal` for this
-        query only.  After an UNSAT answer, :attr:`unsat_core` holds the
-        subset of assumption literals (scoped assertions plus
-        ``assuming`` guards) the refutation actually used, and
-        :meth:`unsat_core_exprs` decodes them back to expressions.
+        query only.
         """
         self.stats["checks"] += 1
         self._sync()
-        self._last_core = None
-        self._last_core_exprs = None
-        for _lits, unsat_expr in self._scopes:
-            if unsat_expr is not None:
-                # A scoped assertion simplified to constant false: the
-                # contradiction needs nothing beyond that one conjunct.
+        for _lits, unsat in self._scopes:
+            if unsat:
+                # A scoped assertion simplified to constant false; popping
+                # its scope restores satisfiability.
                 self._last_model = None
-                self._last_core = ()
-                self._last_core_exprs = (unsat_expr,)
                 return False
         assumptions = [
             lit for lits, _unsat in self._scopes for lit in lits
@@ -184,37 +167,7 @@ class SmtSolver:
             self._last_model = self._encoder.decode_model(result.model)
         else:
             self._last_model = None
-            self._last_core = result.unsat_core
-            if result.unsat_core is not None:
-                self._last_core_exprs = tuple(
-                    self._lit_exprs[lit]
-                    for lit in result.unsat_core
-                    if lit in self._lit_exprs
-                )
         return result.satisfiable
-
-    @property
-    def unsat_core(self) -> tuple[int, ...] | None:
-        """Assumption literals used by the last UNSAT check (else None).
-
-        A subset of the literals assumed in that check; re-checking with
-        just these stays UNSAT.  Empty means the contradiction needed no
-        assumption literal: either the permanent assertions alone are
-        contradictory, or a *scoped* assertion simplified to constant
-        false -- :meth:`unsat_core_exprs` names that conjunct, and
-        popping its scope restores satisfiability.
-        """
-        return self._last_core
-
-    def unsat_core_exprs(self) -> tuple[Expr, ...]:
-        """The asserted/guarded expressions behind :attr:`unsat_core`.
-
-        Literals without a recorded expression (none, in normal use) are
-        skipped.  Raises if the last check was not UNSAT.
-        """
-        if self._last_core_exprs is None and self._last_core is None:
-            raise RuntimeError("no unsat core available (last check was sat?)")
-        return self._last_core_exprs or ()
 
     def model(self) -> dict[str, int]:
         """Valuation (by qualified name) from the last sat check."""

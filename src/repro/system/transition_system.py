@@ -418,7 +418,7 @@ def shared_analysis(
     ``engine._system is system`` guard detects copied instances that
     inherited the attribute via ``__dict__`` duplication and gives them
     their own engine.  Used by ``shared_reachability``,
-    ``shared_kinduction``, ``shared_ic3``, ``shared_bdd_context`` and
+    ``shared_kinduction``, ``shared_bdd_context`` and
     ``shared_symbolic_reachability``.
     """
     engine = getattr(system, attr, None)

@@ -25,7 +25,7 @@ from repro.expr import sexpr_dumps
 from repro.traces.generate import random_traces
 
 #: Engines the differential sweep pins (one report per engine per system).
-ENGINES = ("explicit", "kinduction", "ic3")
+ENGINES = ("explicit", "kinduction")
 
 #: One-shot learn setup: small but large enough that every system's
 #: learned model has real structure (multiple states, guarded edges).
@@ -33,7 +33,7 @@ LEARN_TRACES = 5
 LEARN_LENGTH = 12
 LEARN_SEED = 7
 
-#: Bound spurious churn so the 28-system × 3-engine sweep stays quick.
+#: Bound spurious churn so the 28-system × 2-engine sweep stays quick.
 MAX_STRENGTHENINGS = 3
 
 #: Systems given a full active-learning loop golden (small state spaces,

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -34,10 +41,17 @@ class TestParser:
         assert args.engine == "explicit"
         for command in (["run", "CountEvents"], ["baseline", "CountEvents"],
                         ["table1", "CountEvents"]):
-            args = build_parser().parse_args(command + ["--engine", "ic3"])
-            assert args.engine == "ic3"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "CountEvents", "--engine", "pdr"])
+            args = build_parser().parse_args(command + ["--engine", "kinduction"])
+            assert args.engine == "kinduction"
+        for engine in ("pdr", "ic3"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "CountEvents", "--engine", engine])
+
+    @pytest.mark.parametrize("command", ["run", "table1"])
+    def test_no_session_option(self, command):
+        for flag in ("--session", "--no-session"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "CountEvents", flag])
 
 
 class TestCommands:
@@ -97,15 +111,6 @@ class TestCommands:
         assert code == 0
         assert "WithoutSuperStep" in capsys.readouterr().out
 
-    def test_run_with_ic3_engine_reports_invariant(self, capsys):
-        code = main(
-            ["run", "ModelingALaunchAbortSystem", "--engine", "ic3",
-             "--traces", "8", "--length", "8", "--budget", "60"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "IC3 proved inductive invariant" in out
-
     def test_baseline_command(self, capsys):
         code = main(
             ["baseline", "MealyVendingMachine", "--observations", "300"]
@@ -133,3 +138,28 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "random-sampling baseline" in out
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_reader_closing_the_pipe_exits_without_traceback(self, unbuffered):
+        """`repro list | head -1`: the reader is gone before the output
+        is written, with stdout unbuffered or block-buffered."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(REPO_ROOT / "src"),
+            PYTHONUNBUFFERED=unbuffered,
+        )
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, cwd=REPO_ROOT,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in result.stderr
+        assert result.stderr == ""
+        assert result.returncode == 1

@@ -9,7 +9,7 @@ tree and demands bit-for-bit equality:
 * the learned model (states, names, guards) per library system,
 * the extracted completeness conditions,
 * the canonical oracle report -- every outcome field and α -- per
-  system for each of the three engines {explicit, kinduction, ic3},
+  system for each of the two engines {explicit, kinduction},
 * two full active-learning loops (per-iteration α/N and final model),
 * explicit reports for a subset of systems whose conditions and
   outcomes round-trip through pickle, as the segment workers' models

@@ -9,18 +9,22 @@ import pytest
 
 from repro.expr import Var, eq, int_sort, land, lnot
 from repro.mc import (
+    SPURIOUS_ENGINES,
     ExplicitReachability,
     ExplicitSpuriousness,
     InductionOutcome,
+    KInductionEngine,
     KInductionSpuriousness,
     SpuriousVerdict,
     bmc,
     bmc_single_query,
+    build_spurious_checker,
     check_condition,
     check_init_condition,
     condition_harness,
     k_induction,
     run_spurious_harness,
+    shared_kinduction,
     spurious_harness,
     state_equality_formula,
     step_case_holds,
@@ -357,6 +361,30 @@ class TestSharedReachability:
         # engine attribute; the cache must detect the identity mismatch.
         assert shared_reachability(clone) is not original_engine
         assert shared_reachability(clone)._system is clone
+
+
+class TestEngineRegistry:
+    def test_shared_kinduction_identity(self, counter, latch):
+        engine = shared_kinduction(counter)
+        assert isinstance(engine, KInductionEngine)
+        assert shared_kinduction(counter) is engine
+        assert shared_kinduction(latch) is not engine
+
+    def test_kinduction_factory_uses_shared_engine(self, counter):
+        first = build_spurious_checker(counter, "kinduction")
+        second = build_spurious_checker(counter, "kinduction")
+        assert first._engine is second._engine
+        assert first._engine is shared_kinduction(counter)
+
+    @pytest.mark.parametrize("engine", ["pdr2", "ic3"])
+    def test_unknown_engine_message_lists_the_engines(self, counter, engine):
+        assert SPURIOUS_ENGINES == ("explicit", "bdd", "kinduction", "none")
+        with pytest.raises(ValueError) as excinfo:
+            build_spurious_checker(counter, engine)
+        assert str(excinfo.value) == (
+            f"unknown spurious_engine {engine!r} "
+            "(expected 'explicit', 'bdd', 'kinduction' or 'none')"
+        )
 
 
 class TestSpuriousness:

@@ -442,7 +442,7 @@ def _pinned_search_corpus() -> list[tuple]:
             result.satisfiable, result.conflicts, result.decisions,
             result.propagations, result.conflicts_delta,
             result.decisions_delta, result.propagations_delta,
-            result.learned_db_size, result.unsat_core,
+            result.learned_db_size,
             model if result.satisfiable else None,
         ))
 
@@ -466,72 +466,72 @@ def _pinned_search_corpus() -> list[tuple]:
 #: ``_pinned_search_corpus()`` as the plain two-watched-literal solver
 #: answers it: same watch order, same literal swaps, same heap order.
 PINNED_SEARCH = [
-    (False, 0, 0, 250, 0, 0, 208, 0, (-63,), None),
-    (True, 0, 15, 549, 0, 15, 299, 0, None, 'cb6437b2559d'),
-    (False, 1, 15, 713, 1, 0, 164, 0, (110,), None),
-    (False, 1, 15, 755, 0, 0, 42, 0, (335,), None),
-    (False, 1, 15, 755, 0, 0, 0, 0, (-153,), None),
-    (False, 1, 15, 926, 0, 0, 171, 0, (-68, -19, 78), None),
-    (True, 2, 32, 1341, 1, 17, 415, 1, None, 'c52494456410'),
-    (True, 3, 46, 1677, 1, 14, 336, 2, None, '9bcc3a6193ae'),
-    (True, 3, 59, 1974, 0, 13, 297, 2, None, '181f1edbb5a0'),
-    (True, 5, 77, 2297, 2, 18, 323, 4, None, 'af3509449461'),
-    (True, 5, 84, 2594, 0, 7, 297, 4, None, 'd4f4ce444aca'),
-    (False, 6, 84, 2630, 1, 0, 36, 4, (80,), None),
-    (False, 6, 84, 2630, 0, 0, 0, 4, (-13,), None),
-    (False, 6, 84, 2783, 0, 0, 153, 4, (-41, -32), None),
-    (True, 7, 98, 3083, 1, 14, 300, 5, None, 'dc6cd28f8b43'),
-    (False, 7, 98, 3149, 0, 0, 66, 5, (105, -115), None),
-    (False, 7, 98, 3159, 0, 0, 10, 5, (331,), None),
-    (True, 9, 114, 3511, 2, 16, 352, 7, None, '267cf713fee2'),
-    (False, 10, 114, 3522, 1, 0, 11, 7, (16,), None),
-    (False, 11, 114, 3526, 1, 0, 4, 7, (49,), None),
-    (False, 11, 114, 3526, 0, 0, 0, 7, (-139,), None),
-    (False, 11, 114, 3591, 0, 0, 65, 7, (-127, 129, 125), None),
-    (False, 11, 114, 3707, 0, 0, 116, 7, (-21,), None),
-    (False, 11, 114, 3728, 0, 0, 21, 7, (81, -78), None),
-    (True, 12, 127, 4052, 1, 13, 324, 8, None, 'cada827529dc'),
-    (True, 12, 144, 4345, 0, 17, 293, 8, None, '33167e14f6ec'),
-    (False, 12, 144, 4351, 0, 0, 6, 8, (-106,), None),
-    (True, 12, 164, 4644, 0, 20, 293, 8, None, '33167e14f6ec'),
-    (False, 12, 164, 4670, 0, 0, 26, 8, (-4,), None),
-    (False, 13, 164, 4748, 1, 0, 78, 9, (148, 138), None),
-    (False, 13, 164, 4748, 0, 0, 0, 9, (-91,), None),
-    (True, 15, 174, 5119, 2, 10, 371, 11, None, '0587fc2f4f65'),
-    (False, 15, 174, 5132, 0, 0, 13, 11, (-63,), None),
-    (True, 15, 187, 5425, 0, 13, 293, 11, None, '1c29b7b1c4cf'),
-    (False, 15, 187, 5479, 0, 0, 54, 11, (-21,), None),
-    (False, 15, 187, 5641, 0, 0, 162, 11, (-135,), None),
-    (False, 15, 187, 5643, 0, 0, 2, 11, (110,), None),
-    (False, 15, 187, 5647, 0, 0, 4, 11, (-9,), None),
-    (True, 15, 201, 5940, 0, 14, 293, 11, None, '1d836f053a7c'),
-    (False, 15, 201, 5941, 0, 0, 1, 11, (325,), None),
-    (True, 15, 215, 6234, 0, 14, 292, 11, None, '7952cd51d309'),
-    (False, 15, 215, 6245, 0, 0, 11, 11, (-117,), None),
-    (False, 15, 215, 6250, 0, 0, 5, 11, (-13,), None),
-    (False, 15, 215, 6285, 0, 0, 35, 11, (-21,), None),
-    (True, 15, 231, 6577, 0, 16, 292, 11, None, '4bfba7648336'),
-    (True, 16, 260, 7015, 1, 29, 438, 12, None, '0de9ea7ebedb'),
-    (False, 16, 260, 7108, 0, 0, 93, 12, (247,), None),
-    (True, 16, 279, 7400, 0, 19, 292, 12, None, '9cf8ddcd8776'),
-    (False, 16, 279, 7400, 0, 0, 0, 12, (-4,), None),
-    (False, 17, 279, 7406, 1, 0, 6, 12, (66,), None),
-    (False, 17, 279, 7406, 0, 0, 0, 12, (-13,), None),
-    (True, 17, 301, 7694, 0, 22, 288, 12, None, '9cf8ddcd8776'),
-    (False, 17, 301, 7759, 0, 0, 65, 12, (-56,), None),
-    (False, 17, 301, 7771, 0, 0, 12, 12, (107, -114), None),
-    (True, 17, 321, 8059, 0, 20, 288, 12, None, 'e4983edd3ff5'),
-    (False, 17, 321, 8147, 0, 0, 88, 12, (44, -28), None),
-    (False, 17, 321, 8155, 0, 0, 8, 12, (80,), None),
-    (False, 17, 321, 8155, 0, 0, 0, 12, (-9,), None),
-    (False, 17, 321, 8230, 0, 0, 75, 12, (16,), None),
-    (False, 19, 321, 8341, 2, 0, 111, 14, (112, 94), None),
-    (False, 20, 321, 8457, 1, 0, 116, 15, (114, 101, 15), None),
+    (False, 0, 0, 250, 0, 0, 208, 0, None),
+    (True, 0, 15, 549, 0, 15, 299, 0, 'cb6437b2559d'),
+    (False, 1, 15, 713, 1, 0, 164, 0, None),
+    (False, 1, 15, 755, 0, 0, 42, 0, None),
+    (False, 1, 15, 755, 0, 0, 0, 0, None),
+    (False, 1, 15, 926, 0, 0, 171, 0, None),
+    (True, 2, 32, 1341, 1, 17, 415, 1, 'c52494456410'),
+    (True, 3, 46, 1677, 1, 14, 336, 2, '9bcc3a6193ae'),
+    (True, 3, 59, 1974, 0, 13, 297, 2, '181f1edbb5a0'),
+    (True, 5, 77, 2297, 2, 18, 323, 4, 'af3509449461'),
+    (True, 5, 84, 2594, 0, 7, 297, 4, 'd4f4ce444aca'),
+    (False, 6, 84, 2630, 1, 0, 36, 4, None),
+    (False, 6, 84, 2630, 0, 0, 0, 4, None),
+    (False, 6, 84, 2783, 0, 0, 153, 4, None),
+    (True, 7, 98, 3083, 1, 14, 300, 5, 'dc6cd28f8b43'),
+    (False, 7, 98, 3149, 0, 0, 66, 5, None),
+    (False, 7, 98, 3159, 0, 0, 10, 5, None),
+    (True, 9, 114, 3511, 2, 16, 352, 7, '267cf713fee2'),
+    (False, 10, 114, 3522, 1, 0, 11, 7, None),
+    (False, 11, 114, 3526, 1, 0, 4, 7, None),
+    (False, 11, 114, 3526, 0, 0, 0, 7, None),
+    (False, 11, 114, 3591, 0, 0, 65, 7, None),
+    (False, 11, 114, 3707, 0, 0, 116, 7, None),
+    (False, 11, 114, 3728, 0, 0, 21, 7, None),
+    (True, 12, 127, 4052, 1, 13, 324, 8, 'cada827529dc'),
+    (True, 12, 144, 4345, 0, 17, 293, 8, '33167e14f6ec'),
+    (False, 12, 144, 4351, 0, 0, 6, 8, None),
+    (True, 12, 164, 4644, 0, 20, 293, 8, '33167e14f6ec'),
+    (False, 12, 164, 4670, 0, 0, 26, 8, None),
+    (False, 13, 164, 4748, 1, 0, 78, 9, None),
+    (False, 13, 164, 4748, 0, 0, 0, 9, None),
+    (True, 15, 174, 5119, 2, 10, 371, 11, '0587fc2f4f65'),
+    (False, 15, 174, 5132, 0, 0, 13, 11, None),
+    (True, 15, 187, 5425, 0, 13, 293, 11, '1c29b7b1c4cf'),
+    (False, 15, 187, 5479, 0, 0, 54, 11, None),
+    (False, 15, 187, 5641, 0, 0, 162, 11, None),
+    (False, 15, 187, 5643, 0, 0, 2, 11, None),
+    (False, 15, 187, 5647, 0, 0, 4, 11, None),
+    (True, 15, 201, 5940, 0, 14, 293, 11, '1d836f053a7c'),
+    (False, 15, 201, 5941, 0, 0, 1, 11, None),
+    (True, 15, 215, 6234, 0, 14, 292, 11, '7952cd51d309'),
+    (False, 15, 215, 6245, 0, 0, 11, 11, None),
+    (False, 15, 215, 6250, 0, 0, 5, 11, None),
+    (False, 15, 215, 6285, 0, 0, 35, 11, None),
+    (True, 15, 231, 6577, 0, 16, 292, 11, '4bfba7648336'),
+    (True, 16, 260, 7015, 1, 29, 438, 12, '0de9ea7ebedb'),
+    (False, 16, 260, 7108, 0, 0, 93, 12, None),
+    (True, 16, 279, 7400, 0, 19, 292, 12, '9cf8ddcd8776'),
+    (False, 16, 279, 7400, 0, 0, 0, 12, None),
+    (False, 17, 279, 7406, 1, 0, 6, 12, None),
+    (False, 17, 279, 7406, 0, 0, 0, 12, None),
+    (True, 17, 301, 7694, 0, 22, 288, 12, '9cf8ddcd8776'),
+    (False, 17, 301, 7759, 0, 0, 65, 12, None),
+    (False, 17, 301, 7771, 0, 0, 12, 12, None),
+    (True, 17, 321, 8059, 0, 20, 288, 12, 'e4983edd3ff5'),
+    (False, 17, 321, 8147, 0, 0, 88, 12, None),
+    (False, 17, 321, 8155, 0, 0, 8, 12, None),
+    (False, 17, 321, 8155, 0, 0, 0, 12, None),
+    (False, 17, 321, 8230, 0, 0, 75, 12, None),
+    (False, 19, 321, 8341, 2, 0, 111, 14, None),
+    (False, 20, 321, 8457, 1, 0, 116, 15, None),
 ]
 
 
 class TestPinnedSearch:
     def test_search_is_pinned(self):
         """Any change to propagation order, decisions, learning or
-        restarts moves some counter, core or model here."""
+        restarts moves some counter or model here."""
         assert _pinned_search_corpus() == PINNED_SEARCH

