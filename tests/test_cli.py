@@ -111,6 +111,35 @@ class TestCommands:
         assert code == 0
         assert "WithoutSuperStep" in capsys.readouterr().out
 
+    @staticmethod
+    def _row(out, name):
+        """(i, d, N, α) from the Table-I row of ``name``."""
+        line = next(line for line in out.splitlines() if line.startswith(name))
+        return tuple(line.split()[-6:-2])
+
+    def test_run_with_kinduction_engine(self, capsys):
+        """The literal Fig. 3b check drives the loop without guidance."""
+        code = main(
+            ["run", "ModelingALaunchAbortSystem", "--engine", "kinduction",
+             "--traces", "10", "--length", "10", "--budget", "120"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert self._row(out, "ModelingALaunchAbortSystem") == ("6", "1", "6", "1")
+        assert "oracle: 16 spurious excluded, 5 recorded inconclusive" in out
+
+    def test_run_with_bdd_engine_strengthens_blind(self, capsys):
+        """Each spurious counterexample costs one r ∧ ¬s' round."""
+        code = main(
+            ["run", "ModelingALaunchAbortSystem", "--fsa", "ModeLogic",
+             "--engine", "bdd", "--traces", "30", "--length", "30",
+             "--budget", "60"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert self._row(out, "ModelingALaunchAbortSystem") == ("4", "1", "5", "1")
+        assert "oracle: 845 spurious excluded, 0 recorded inconclusive" in out
+
     def test_baseline_command(self, capsys):
         code = main(
             ["baseline", "MealyVendingMachine", "--observations", "300"]
